@@ -97,7 +97,8 @@ def fb_boundaries(features, timestamps: TimestampSet, num_frames: int) -> np.nda
     i = 0) and the right cluster ends at the next timestamp. The backward pass
     mirrors this right to left, with the right cluster ending at the following
     backward estimate (the last frame for the final boundary). The result is
-    the floor average of the two passes, clamped to [t_i, t_{i+1}).
+    the floor average of the two passes; each pass lies in [t_i, t_{i+1}), so
+    their floor mean does too.
     """
     features = _check_features(features)
     if features.shape[0] != num_frames:
@@ -123,8 +124,7 @@ def fb_boundaries(features, timestamps: TimestampSet, num_frames: int) -> np.nda
         energies = _split_energies(features, frames[i], frames[i], frames[i + 1], span_end)
         backward[i] = frames[i] + int(np.argmin(energies))
 
-    merged = (forward + backward) // 2
-    return np.clip(merged, frames[:-1], frames[1:] - 1)
+    return (forward + backward) // 2
 
 
 def uniform_boundaries(timestamps: TimestampSet, num_frames: int) -> np.ndarray:

@@ -1,27 +1,15 @@
 """Command-line entry points: synth, annotate, train, eval, boundaries.
 
 A corpus directory holds features/, groundTruth/, mapping.txt, splits/ with
-train.bundle and test.bundle, and optionally timestamps/. The STAMPSEG_THREADS
-environment variable caps evaluation worker threads (default 1).
+train.bundle and test.bundle, and optionally timestamps/.
 """
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import change, data, net, pipeline
 from .loss import LossWeights
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("STAMPSEG_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"STAMPSEG_THREADS must be an integer, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +126,7 @@ def cmd_eval(args) -> int:
     if args.model is not None:
         model = net.load_model(args.model)
         dataset = [(r.features, r.labels) for r in records]
-        rep = pipeline.evaluate(model, dataset, workers=_thread_count())
+        rep = pipeline.evaluate(model, dataset)
     else:
         preds = []
         for r in records:
@@ -165,12 +153,11 @@ def cmd_boundaries(args) -> int:
         if rec.timestamps is None:
             raise ValueError(f"video {rec.name!r} has no timestamps")
         outputs = net.forward(model, rec.features)
-        labels = pipeline.pseudo_labels(
+        bounds = pipeline.pseudo_boundaries(
             outputs, rec.timestamps, args.boundary, args.normalize_features
         )
+        labels = change.labels_from_boundaries(rec.timestamps, bounds, len(rec.features))
         data.write_labels(labels, vocab, out_dir / f"{rec.name}.txt")
-        segs = data.segments_from_labels(labels)
-        bounds = [seg[2] - 1 for seg in segs[:-1]]
         sidecar = "".join(f"{i} {b}\n" for i, b in enumerate(bounds))
         (out_dir / f"{rec.name}.bounds").write_text(sidecar, encoding="utf-8")
     print(f"wrote pseudo-labels for {len(records)} videos to {out_dir}")

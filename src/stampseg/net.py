@@ -262,17 +262,12 @@ def forward(model: ModelState, features) -> StageOutputs:
     return StageOutputs(probs=probs_list, penultimate=penultimate)
 
 
-def loss_and_grad(
-    model: ModelState,
-    features,
-    target,
-    mask=None,
-    timestamps: TimestampSet | None = None,
-    weights: LossWeights = LossWeights(),
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Total loss summed over every stage's probabilities, plus exact gradients."""
+def _summed_loss(model, features, target, mask, timestamps, weights):
+    """One forward pass, the loss summed over its stages, per-stage dprobs, caches."""
     features = _check_input(model.config, features)
-    probs_list, _, stage_caches = _forward(model, features)
+    probs_list, penultimate, stage_caches = _forward(model, features)
+    if callable(target):
+        target = target(StageOutputs(probs=probs_list, penultimate=penultimate))
     total = 0.0
     dprobs_list = []
     for stage, probs in enumerate(probs_list):
@@ -281,6 +276,27 @@ def loss_and_grad(
             raise FloatingPointError(f"non-finite loss at stage {stage}")
         total += value
         dprobs_list.append(dprobs)
+    return total, dprobs_list, stage_caches
+
+
+def loss_and_grad(
+    model: ModelState,
+    features,
+    target,
+    mask=None,
+    timestamps: TimestampSet | None = None,
+    weights: LossWeights = LossWeights(),
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Total loss summed over every stage's probabilities, plus exact gradients.
+
+    ``target`` is either the frame labels or a function of this call's own
+    forward pass: it receives the pass's ``StageOutputs`` once, before the
+    loss, and returns the labels. A training step that derives its labels
+    from the model's outputs thus runs the network once.
+    """
+    total, dprobs_list, stage_caches = _summed_loss(
+        model, features, target, mask, timestamps, weights
+    )
     return total, _backward(model, stage_caches, dprobs_list)
 
 
@@ -293,15 +309,7 @@ def loss_value(
     weights: LossWeights = LossWeights(),
 ) -> float:
     """Forward-only evaluation of the summed loss (used for gradient checking)."""
-    features = _check_input(model.config, features)
-    probs_list, _, _ = _forward(model, features)
-    total = 0.0
-    for stage, probs in enumerate(probs_list):
-        value, _ = total_loss_grad(probs, target, mask, timestamps, weights)
-        if not math.isfinite(value):
-            raise FloatingPointError(f"non-finite loss at stage {stage}")
-        total += value
-    return total
+    return _summed_loss(model, features, target, mask, timestamps, weights)[0]
 
 
 # ---------------------------------------------------------------------------

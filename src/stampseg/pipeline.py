@@ -3,7 +3,8 @@
 Supervision modes
 -----------------
 timestamps  warm up on the annotated frames only, then regenerate dense
-            pseudo-labels from the model's own activations at every step.
+            pseudo-labels at every step from the activations of the forward
+            pass that the step trains on.
 full        dense ground-truth labels for every frame.
 naive       the annotated frames only, for the whole run.
 uniform     dense labels from midpoint boundaries, fixed before training.
@@ -15,7 +16,6 @@ of the data, the configs, and the seed.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,22 +72,19 @@ def format_log(entries: list[EpochLog]) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def pseudo_labels(
+def pseudo_boundaries(
     outputs: net.StageOutputs,
     timestamps: TimestampSet,
     method: str = "fb",
     normalize: bool = False,
 ) -> np.ndarray:
-    """Dense labels for one video derived from model outputs and its timestamps."""
-    num_frames = outputs.penultimate.shape[0]
-    if len(timestamps) < 2:
-        return change.labels_from_boundaries(
-            timestamps, np.empty(0, dtype=np.int64), num_frames
-        )
+    """The estimator's N-1 boundaries for one video's N timestamps (empty for one)."""
+    frames, classes = timestamps.frames, timestamps.labels
+    if len(frames) < 2:
+        return np.empty(0, dtype=np.int64)
     if method == "s2s_prob":
         probs = outputs.probs[-1]
-        frames, classes = timestamps.frames, timestamps.labels
-        bounds = np.array(
+        return np.array(
             [
                 change.s2s_boundary_prob(
                     probs, int(classes[i]), int(frames[i]), int(classes[i + 1]), int(frames[i + 1])
@@ -96,24 +93,34 @@ def pseudo_labels(
             ],
             dtype=np.int64,
         )
-    else:
-        feats = outputs.penultimate
-        if normalize:
-            feats = change.normalize_features(feats)
-        if method == "fb":
-            bounds = change.fb_boundaries(feats, timestamps, num_frames)
-        elif method == "s2s_features":
-            frames = timestamps.frames
-            bounds = np.array(
-                [
-                    change.s2s_boundary(feats, int(frames[i]), int(frames[i + 1]))
-                    for i in range(len(frames) - 1)
-                ],
-                dtype=np.int64,
-            )
-        else:
-            raise ValueError(f"unknown boundary method {method!r}")
-    return change.labels_from_boundaries(timestamps, bounds, num_frames)
+    feats = outputs.penultimate
+    if normalize:
+        feats = change.normalize_features(feats)
+    if method == "fb":
+        return change.fb_boundaries(feats, timestamps, feats.shape[0])
+    if method == "s2s_features":
+        return np.array(
+            [
+                change.s2s_boundary(feats, int(frames[i]), int(frames[i + 1]))
+                for i in range(len(frames) - 1)
+            ],
+            dtype=np.int64,
+        )
+    raise ValueError(f"unknown boundary method {method!r}")
+
+
+def pseudo_labels(
+    outputs: net.StageOutputs,
+    timestamps: TimestampSet,
+    method: str = "fb",
+    normalize: bool = False,
+) -> np.ndarray:
+    """Dense labels for one video derived from model outputs and its timestamps."""
+    return change.labels_from_boundaries(
+        timestamps,
+        pseudo_boundaries(outputs, timestamps, method, normalize),
+        outputs.penultimate.shape[0],
+    )
 
 
 def _sparse_target(ts: TimestampSet, num_frames: int) -> np.ndarray:
@@ -196,8 +203,7 @@ def train(
                 elif epoch <= config.warmup_epochs:
                     target, mask = sparse_targets[vi], masks[vi]
                 else:
-                    outputs = net.forward(model, feats)
-                    target = pseudo_labels(
+                    target = lambda outputs: pseudo_labels(
                         outputs, ts, config.boundary_method, config.normalize_features
                     )
                     mask = None
@@ -231,12 +237,8 @@ def infer(model: net.ModelState, features) -> np.ndarray:
     return np.argmax(outputs.probs[-1], axis=1).astype(np.int64)
 
 
-def evaluate(model: net.ModelState, dataset, workers: int = 1) -> MetricsReport:
+def evaluate(model: net.ModelState, dataset) -> MetricsReport:
     """Predict every video of (features, labels) pairs and pool the metrics."""
     dataset = list(dataset)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            preds = list(pool.map(lambda pair: infer(model, pair[0]), dataset))
-    else:
-        preds = [infer(model, feats) for feats, _ in dataset]
+    preds = [infer(model, feats) for feats, _ in dataset]
     return report(preds, [labels for _, labels in dataset])

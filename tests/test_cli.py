@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stampseg import cli, data, net
+from stampseg import change, cli, data, net
 
 
 def _run(*argv):
@@ -177,20 +177,6 @@ def test_eval_missing_prediction_file(tmp_path, capsys):
     assert "missing prediction" in capsys.readouterr().err
 
 
-def test_thread_env_validation(tmp_path, capsys, monkeypatch):
-    root = _synth(tmp_path / "corpus")
-    model_path = tmp_path / "model.bin"
-    config = net.ModelConfig(input_dim=6, num_classes=3, num_stages=1,
-                             layers_per_stage=2, channels=4)
-    net.save_model(net.init_model(config, seed=0), model_path)
-    monkeypatch.setenv("STAMPSEG_THREADS", "abc")
-    assert _run("eval", "--data", root, "--model", model_path) == 1
-    assert "STAMPSEG_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("STAMPSEG_THREADS", "2")
-    capsys.readouterr()
-    assert _run("eval", "--data", root, "--model", model_path) == 0
-
-
 # ---------------------------------------------------------------------------
 # boundaries
 
@@ -216,6 +202,29 @@ def test_boundaries_writes_labels_and_sidecars(tmp_path, capsys):
             idx, bound = line.split()
             assert int(idx) == i
             assert int(bound) == segs[i][2] - 1
+
+
+def test_boundaries_sidecar_keeps_repeated_class_boundaries(tmp_path):
+    vocab = data.ActionVocab(("a", "b", "c"))
+    feats = np.random.default_rng(0).standard_normal((30, 6))
+    labels = np.repeat(np.array([0, 1]), 15)
+    root = tmp_path / "corpus"
+    data.write_corpus(root, vocab, [("v", feats, labels)], ["v"], ["v"])
+    (root / "timestamps").mkdir()
+    ts = data.TimestampSet(np.array([2, 10, 20]), np.array([0, 0, 1]))
+    data.write_timestamps(ts, vocab, root / "timestamps" / "v.txt")
+    model_path = tmp_path / "model.bin"
+    config = net.ModelConfig(input_dim=6, num_classes=3, num_stages=1,
+                             layers_per_stage=2, channels=4)
+    net.save_model(net.init_model(config, seed=0), model_path)
+    out_dir = tmp_path / "pseudo"
+    assert _run("boundaries", "--data", root, "--model", model_path, "--out", out_dir) == 0
+    lines = (out_dir / "v.bounds").read_text().splitlines()
+    assert [int(line.split()[0]) for line in lines] == [0, 1]
+    bounds = np.array([int(line.split()[1]) for line in lines])
+    assert np.all(ts.frames[:-1] <= bounds) and np.all(bounds < ts.frames[1:])
+    written = data.load_labels(out_dir / "v.txt", vocab)
+    np.testing.assert_array_equal(written, change.labels_from_boundaries(ts, bounds, 30))
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,27 @@ def test_saturated_correct_prediction_near_zero():
     assert max(np.abs(g).max() for g in grads.values()) < 1e-3
 
 
+def test_target_function_sees_the_same_pass():
+    config = _tiny_config(num_stages=2, layers_per_stage=2)
+    model = net.init_model(config, seed=5)
+    feats = np.random.default_rng(6).standard_normal((20, 5))
+    ts = _ts([3, 9, 15], [0, 2, 1])
+    calls = []
+
+    def fn(outputs):
+        calls.append(outputs)
+        shifted = outputs.probs[-1] + 0.01 * outputs.penultimate[:, :3]
+        return np.argmax(shifted, axis=1)
+
+    value, grads = net.loss_and_grad(model, feats, fn, None, ts)
+    assert len(calls) == 1
+    labels = fn(net.forward(model, feats))
+    ref_value, ref_grads = net.loss_and_grad(model, feats, labels, None, ts)
+    assert value == ref_value
+    for key in ref_grads:
+        np.testing.assert_array_equal(grads[key], ref_grads[key])
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_loss_reports_stage():
     model = net.init_model(_tiny_config(num_stages=2), seed=3)

@@ -123,6 +123,25 @@ def test_train_determinism_identical_runs():
     assert [e.mean_loss for e in logs_a] == [e.mean_loss for e in logs_b]
 
 
+def test_timestamps_mode_runs_network_once_per_step(monkeypatch):
+    pairs = _corpus(noise=0.25, videos=3, seed=6)
+    annotations = _annotate(pairs, seed=2)
+    counts = {"_forward": 0, "forward": 0}
+    for name in counts:
+        original = getattr(net, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(net, name, counted)
+    config = pipeline.TrainConfig(
+        epochs=4, warmup_epochs=2, lr=0.002, batch_size=2, supervision="timestamps", seed=3
+    )
+    pipeline.train(pairs, annotations, config, _model_config(6, 3))
+    assert counts == {"_forward": 4 * 3, "forward": 0}
+
+
 def test_train_validates_missing_supervision():
     pairs = _corpus(noise=0.1, videos=2, seed=8)
     with pytest.raises(ValueError, match="needs timestamps"):
@@ -159,6 +178,11 @@ def test_pseudo_labels_respect_timestamps_all_methods():
             labels = pipeline.pseudo_labels(outputs, ts, method)
             assert len(labels) == feats.shape[0]
             np.testing.assert_array_equal(labels[ts.frames], ts.labels)
+            bounds = pipeline.pseudo_boundaries(outputs, ts, method)
+            assert len(bounds) == len(ts) - 1
+            np.testing.assert_array_equal(
+                labels, change.labels_from_boundaries(ts, bounds, feats.shape[0])
+            )
 
 
 def test_pseudo_labels_single_timestamp_whole_video():
@@ -167,6 +191,7 @@ def test_pseudo_labels_single_timestamp_whole_video():
     outputs = net.forward(model, feats)
     ts = data.TimestampSet(np.array([5]), np.array([2]))
     np.testing.assert_array_equal(pipeline.pseudo_labels(outputs, ts, "fb"), np.full(12, 2))
+    assert pipeline.pseudo_boundaries(outputs, ts, "fb").shape == (0,)
 
 
 def test_pseudo_labels_normalized_variant_runs():
@@ -181,12 +206,10 @@ def test_pseudo_labels_normalized_variant_runs():
 # ---------------------------------------------------------------------------
 # evaluation and logs
 
-def test_evaluate_deterministic_and_threaded_consistent():
+def test_evaluate_deterministic():
     pairs = _corpus(noise=0.2, videos=4, seed=10)
     model = net.init_model(_model_config(6, 3), seed=2)
-    serial = pipeline.evaluate(model, pairs)
-    threaded = pipeline.evaluate(model, pairs, workers=3)
-    assert serial == threaded
+    assert pipeline.evaluate(model, pairs) == pipeline.evaluate(model, pairs)
 
 
 def test_epoch_log_format():
