@@ -8,7 +8,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import change, data, net, pipeline
+from . import change, data, metrics, net, pipeline
 from .loss import LossWeights
 
 
@@ -135,9 +135,7 @@ def cmd_eval(args) -> int:
                 raise ValueError(f"{path}: missing prediction file")
             pred = data.load_labels(path, vocab)
             preds.append(pred)
-        from .metrics import report as metrics_report
-
-        rep = metrics_report(preds, gts)
+        rep = metrics.report(preds, gts)
     if args.header:
         print(rep.header())
     print(rep.line())

@@ -16,13 +16,14 @@ serialization order of checkpoints.
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .data import TimestampSet
 from .loss import LossWeights, total_loss_grad
 
-CHECKPOINT_MAGIC = b"TSM1"
+CHECKPOINT_MAGIC = b"TSM2"
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -53,16 +54,24 @@ class ModelConfig:
 
 @dataclass
 class AdamState:
+    """Training-only optimizer state: both moments per parameter, steps taken."""
+
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
+
+    @classmethod
+    def zeros(cls, params: dict[str, np.ndarray]) -> "AdamState":
+        return cls(
+            m={k: np.zeros_like(p) for k, p in params.items()},
+            v={k: np.zeros_like(p) for k, p in params.items()},
+        )
 
 
 @dataclass
 class ModelState:
     config: ModelConfig
     params: dict[str, np.ndarray]
-    adam: AdamState
 
 
 @dataclass
@@ -99,7 +108,7 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 def init_model(config: ModelConfig, seed: int = 0) -> ModelState:
-    """Fan-in scaled uniform weights, zero biases, fresh optimizer state."""
+    """Fan-in scaled uniform weights and zero biases."""
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     for key, shape in param_shapes(config).items():
@@ -109,11 +118,7 @@ def init_model(config: ModelConfig, seed: int = 0) -> ModelState:
             fan_in = int(np.prod(shape[1:]))
             bound = 1.0 / math.sqrt(fan_in)
             params[key] = rng.uniform(-bound, bound, size=shape)
-    adam = AdamState(
-        m={k: np.zeros_like(p) for k, p in params.items()},
-        v={k: np.zeros_like(p) for k, p in params.items()},
-    )
-    return ModelState(config=config, params=params, adam=adam)
+    return ModelState(config=config, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -315,16 +320,15 @@ def loss_value(
 # ---------------------------------------------------------------------------
 # optimizer
 
-def adam_step(model: ModelState, grads: dict[str, np.ndarray], lr: float) -> ModelState:
-    """One Adam update with bias correction; mutates and returns the model."""
-    state = model.adam
-    state.step += 1
-    corr1 = 1.0 - ADAM_BETA1**state.step
-    corr2 = 1.0 - ADAM_BETA2**state.step
+def adam_step(model: ModelState, adam: AdamState, grads: dict[str, np.ndarray], lr: float) -> None:
+    """One Adam update with bias correction; mutates the model and ``adam``."""
+    adam.step += 1
+    corr1 = 1.0 - ADAM_BETA1**adam.step
+    corr2 = 1.0 - ADAM_BETA2**adam.step
     for key, param in model.params.items():
         grad = grads[key]
-        m = state.m[key]
-        v = state.v[key]
+        m = adam.m[key]
+        v = adam.v[key]
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * grad
         v *= ADAM_BETA2
@@ -333,19 +337,19 @@ def adam_step(model: ModelState, grads: dict[str, np.ndarray], lr: float) -> Mod
         if not np.isfinite(update).all():
             raise FloatingPointError(f"non-finite update for parameter {key}")
         param -= update
-    return model
 
 
 # ---------------------------------------------------------------------------
 # checkpoints
 
 def save_model(model: ModelState, path) -> None:
-    """Binary checkpoint: magic, config as u32s, params, Adam state, step count.
+    """Binary checkpoint of the model alone: magic, config as u32s, params.
 
     Config order: num_stages, layers_per_stage, channels, both first-stage
-    kernels, later_kernel, input_dim, num_classes. Arrays are float32
-    little-endian in ``param_shapes`` order, Adam first moment then second
-    moment following each parameter, and the step counter is a trailing u64.
+    kernels, later_kernel, input_dim, num_classes. The parameters follow as
+    float32 little-endian in ``param_shapes`` order, and nothing else; the
+    file is 36 + 4 * (number of parameters) bytes. Optimizer state is not
+    saved.
     """
     config = model.config
     header = np.array(
@@ -364,18 +368,20 @@ def save_model(model: ModelState, path) -> None:
     chunks = [CHECKPOINT_MAGIC, header.tobytes()]
     for key in param_shapes(config):
         chunks.append(model.params[key].astype("<f4").tobytes())
-        chunks.append(model.adam.m[key].astype("<f4").tobytes())
-        chunks.append(model.adam.v[key].astype("<f4").tobytes())
-    chunks.append(np.array([model.adam.step], dtype="<u8").tobytes())
     with open(path, "wb") as fh:
         fh.write(b"".join(chunks))
 
 
 def load_model(path) -> ModelState:
-    raw = open(path, "rb").read()
+    """Read a ``save_model`` checkpoint; parameters come back as float64.
+
+    Refuses a file with another magic (an older format included), a short
+    header or payload, or any size other than the one its config implies.
+    """
+    raw = Path(path).read_bytes()
     if len(raw) < 4 or raw[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad magic, not a model checkpoint")
-    if len(raw) < 4 + 8 * 4 + 8:
+    if len(raw) < 4 + 8 * 4:
         raise ValueError(f"{path}: truncated header")
     header = np.frombuffer(raw, dtype="<u4", count=8, offset=4)
     config = ModelConfig(
@@ -390,21 +396,17 @@ def load_model(path) -> ModelState:
     shapes = param_shapes(config)
     offset = 4 + 8 * 4
     params: dict[str, np.ndarray] = {}
-    m: dict[str, np.ndarray] = {}
-    v: dict[str, np.ndarray] = {}
     for key, shape in shapes.items():
         size = int(np.prod(shape))
-        for store in (params, m, v):
-            end = offset + size * 4
-            if end > len(raw) - 8:
-                raise ValueError(f"{path}: truncated parameter payload at {key}")
-            store[key] = (
-                np.frombuffer(raw, dtype="<f4", count=size, offset=offset)
-                .reshape(shape)
-                .astype(np.float64)
-            )
-            offset = end
-    if len(raw) != offset + 8:
+        end = offset + size * 4
+        if end > len(raw):
+            raise ValueError(f"{path}: truncated parameter payload at {key}")
+        params[key] = (
+            np.frombuffer(raw, dtype="<f4", count=size, offset=offset)
+            .reshape(shape)
+            .astype(np.float64)
+        )
+        offset = end
+    if len(raw) != offset:
         raise ValueError(f"{path}: checkpoint size mismatch")
-    step = int(np.frombuffer(raw, dtype="<u8", count=1, offset=offset)[0])
-    return ModelState(config=config, params=params, adam=AdamState(m=m, v=v, step=step))
+    return ModelState(config=config, params=params)

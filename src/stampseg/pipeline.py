@@ -164,26 +164,20 @@ def train(
         if ts is not None and ts.frames[-1] >= feats.shape[0]:
             raise ValueError(f"timestamp outside video {i}")
 
-    # fixed per-video supervision material
-    sparse_targets = []
-    masks = []
-    uniform_targets = []
+    # one fixed (target, mask) per video; timestamps mode uses it during warmup
+    fixed = []
     for (feats, labels), ts in zip(videos, annotations):
         num_frames = feats.shape[0]
-        if ts is not None:
-            sparse_targets.append(_sparse_target(ts, num_frames))
-            masks.append(frozenset(int(t) for t in ts.frames))
-            if mode == "uniform":
-                bounds = change.uniform_boundaries(ts, num_frames)
-                uniform_targets.append(change.labels_from_boundaries(ts, bounds, num_frames))
-            else:
-                uniform_targets.append(None)
+        if mode == "full":
+            fixed.append((labels, None))
+        elif mode == "uniform":
+            bounds = change.uniform_boundaries(ts, num_frames)
+            fixed.append((change.labels_from_boundaries(ts, bounds, num_frames), None))
         else:
-            sparse_targets.append(None)
-            masks.append(None)
-            uniform_targets.append(None)
+            fixed.append((_sparse_target(ts, num_frames), ts.frames))
 
     model = net.init_model(model_config, config.seed)
+    adam = net.AdamState.zeros(model.params)
     shuffle_rng = np.random.default_rng([config.seed, 1])
     logs: list[EpochLog] = []
     for epoch in range(1, config.epochs + 1):
@@ -192,21 +186,15 @@ def train(
         for batch in _chunks(order, config.batch_size):
             batch_grads = None
             for vi in batch:
-                feats, labels = videos[vi]
+                feats, _ = videos[vi]
                 ts = annotations[vi]
-                if mode == "full":
-                    target, mask = labels, None
-                elif mode == "naive":
-                    target, mask = sparse_targets[vi], masks[vi]
-                elif mode == "uniform":
-                    target, mask = uniform_targets[vi], None
-                elif epoch <= config.warmup_epochs:
-                    target, mask = sparse_targets[vi], masks[vi]
-                else:
+                if mode == "timestamps" and epoch > config.warmup_epochs:
                     target = lambda outputs: pseudo_labels(
                         outputs, ts, config.boundary_method, config.normalize_features
                     )
                     mask = None
+                else:
+                    target, mask = fixed[vi]
                 try:
                     value, grads = net.loss_and_grad(
                         model, feats, target, mask, ts, config.weights
@@ -221,7 +209,7 @@ def train(
                 else:
                     for key in batch_grads:
                         batch_grads[key] += grads[key]
-            model = net.adam_step(model, batch_grads, config.lr)
+            net.adam_step(model, adam, batch_grads, config.lr)
         entry = EpochLog(epoch=epoch, mean_loss=float(np.mean(epoch_losses)))
         if val_data is not None:
             entry.report = evaluate(model, val_data)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stampseg import change, cli, data, net
+from stampseg import change, cli, data, net, pipeline
 
 
 def _run(*argv):
@@ -32,6 +32,23 @@ def _tree_digest(root):
 
 
 TINY_NET = ["--stages", "1", "--layers", "3", "--channels", "8"]
+
+
+def _assert_trained_in_process(model_path, root, **train):
+    """The checkpoint equals in-process ``pipeline.train`` on the train split, as float32."""
+    vocab, records = data.load_corpus(root, split="train")
+    model_config = net.ModelConfig(
+        input_dim=records[0].features.shape[1], num_classes=vocab.num_classes,
+        num_stages=1, layers_per_stage=3, channels=8,
+    )
+    want, _ = pipeline.train(
+        [(r.features, r.labels) for r in records], [r.timestamps for r in records],
+        pipeline.TrainConfig(**train), model_config,
+    )
+    got = net.load_model(model_path)
+    assert got.config == model_config
+    for key, value in want.params.items():
+        np.testing.assert_array_equal(got.params[key], value.astype(np.float32).astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +143,10 @@ def test_train_timestamps_mode_runs(tmp_path, capsys):
         "--lr", 0.005, "--batch", 2, *TINY_NET,
     ) == 0
     assert model_path.exists()
-    model = net.load_model(model_path)
-    assert model.adam.step == 6 * 2  # 3 train videos in batches of 2 -> 2 steps per epoch
+    _assert_trained_in_process(
+        model_path, root, epochs=6, warmup_epochs=3, lr=0.005, batch_size=2,
+        supervision="timestamps",
+    )
 
 
 def test_train_missing_timestamps_errors(tmp_path, capsys):
@@ -145,8 +164,9 @@ def test_train_save_every_writes_checkpoints(tmp_path, capsys):
         "train", "--data", root, "--out", model_path, "--mode", "full",
         "--epochs", 4, "--warmup", 0, "--batch", 2, "--save-every", 2, *TINY_NET,
     ) == 0
-    model = net.load_model(model_path)
-    assert model.adam.step == 4 * 2
+    _assert_trained_in_process(
+        model_path, root, epochs=4, warmup_epochs=0, batch_size=2, supervision="full"
+    )
 
 
 def test_eval_pred_directory(tmp_path, capsys):

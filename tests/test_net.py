@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -47,7 +50,8 @@ def test_init_fan_in_bounds_and_zero_biases():
         else:
             fan_in = int(np.prod(value.shape[1:]))
             assert np.abs(value).max() <= 1.0 / np.sqrt(fan_in)
-    assert model.adam.step == 0
+    # the model is the network alone; optimizer state lives in the training loop
+    assert [f.name for f in dataclasses.fields(model)] == ["config", "params"]
 
 
 def test_config_validation():
@@ -239,8 +243,9 @@ def test_adam_zero_grad_keeps_params():
     model = net.init_model(_tiny_config(), seed=9)
     before = {k: v.copy() for k, v in model.params.items()}
     zero = {k: np.zeros_like(v) for k, v in model.params.items()}
-    net.adam_step(model, zero, lr=0.01)
-    assert model.adam.step == 1
+    adam = net.AdamState.zeros(model.params)
+    net.adam_step(model, adam, zero, lr=0.01)
+    assert adam.step == 1
     for key in before:
         np.testing.assert_array_equal(model.params[key], before[key])
 
@@ -252,7 +257,9 @@ def test_adam_first_step_magnitude():
     start = model.params[key].copy()
     grads = {k: np.zeros_like(v) for k, v in model.params.items()}
     grads[key] = np.ones_like(model.params[key])
-    net.adam_step(model, grads, lr=0.0005)
+    adam = net.AdamState.zeros(model.params)
+    net.adam_step(model, adam, grads, lr=0.0005)
+    assert adam.step == 1
     expected = 0.0005 * 1.0 / (1.0 + 1e-8)
     np.testing.assert_allclose(start - model.params[key], expected, rtol=1e-12)
 
@@ -260,6 +267,7 @@ def test_adam_first_step_magnitude():
 def test_adam_descends_convex_quadratic():
     config = net.ModelConfig(input_dim=1, num_classes=1, num_stages=1, layers_per_stage=1, channels=1)
     model = net.init_model(config, seed=0)
+    adam = net.AdamState.zeros(model.params)
     x = np.array([1.0])
     losses = []
     for _ in range(100):
@@ -268,11 +276,12 @@ def test_adam_descends_convex_quadratic():
         grads["s0.cls.b"] = np.array([2.0 * x[0]])
         saved = model.params["s0.cls.b"].copy()
         model.params["s0.cls.b"][:] = x
-        net.adam_step(model, grads, lr=0.005)
+        net.adam_step(model, adam, grads, lr=0.005)
         x = model.params["s0.cls.b"].copy()
         model.params["s0.cls.b"][:] = saved
     diffs = np.diff([l for l in losses])
     assert np.all(diffs < 0.0)
+    assert adam.step == 100
 
 
 def test_adam_nonfinite_update_raises():
@@ -280,7 +289,7 @@ def test_adam_nonfinite_update_raises():
     grads = {k: np.zeros_like(v) for k, v in model.params.items()}
     grads["s0.cls.b"] = np.full_like(model.params["s0.cls.b"], np.nan)
     with pytest.raises(FloatingPointError, match="s0.cls.b"):
-        net.adam_step(model, grads, lr=0.001)
+        net.adam_step(model, net.AdamState.zeros(model.params), grads, lr=0.001)
 
 
 # ---------------------------------------------------------------------------
@@ -290,15 +299,16 @@ def test_checkpoint_roundtrip(tmp_path):
     config = _tiny_config(num_stages=2, layers_per_stage=2)
     model = net.init_model(config, seed=21)
     grads = {k: np.full_like(v, 0.125) for k, v in model.params.items()}
-    net.adam_step(model, grads, lr=0.001)
+    net.adam_step(model, net.AdamState.zeros(model.params), grads, lr=0.001)
     path = tmp_path / "model.tsm"
     net.save_model(model, path)
+    # magic, eight u32 config fields, float32 parameters, nothing else
+    num_params = sum(v.size for v in model.params.values())
+    assert path.stat().st_size == 4 + 32 + 4 * num_params
     loaded = net.load_model(path)
     assert loaded.config == config
-    assert loaded.adam.step == 1
     for key in model.params:
         np.testing.assert_allclose(loaded.params[key], model.params[key], atol=1e-6)
-        np.testing.assert_allclose(loaded.adam.m[key], model.adam.m[key], atol=1e-9)
     # float32 storage is exact on resave
     path2 = tmp_path / "model2.tsm"
     net.save_model(loaded, path2)
@@ -315,18 +325,37 @@ def test_checkpoint_forward_agrees_after_roundtrip(tmp_path):
     np.testing.assert_allclose(got, want, atol=1e-5)
 
 
-def test_checkpoint_bad_magic(tmp_path):
+def _saved_bytes(tmp_path):
     path = tmp_path / "m.tsm"
-    path.write_bytes(b"JUNKJUNKJUNK" + b"\x00" * 64)
-    with pytest.raises(ValueError, match="magic"):
-        net.load_model(path)
+    net.save_model(net.init_model(_tiny_config(), seed=1), path)
+    return path, path.read_bytes()
+
+
+def test_checkpoint_bad_magic(tmp_path):
+    path, raw = _saved_bytes(tmp_path)
+    # junk, and the older TSM1 format, which also held Adam state
+    for bad in (b"JUNKJUNKJUNK" + b"\x00" * 64, b"TSM1" + raw[4:]):
+        path.write_bytes(bad)
+        with pytest.raises(ValueError, match="magic"):
+            net.load_model(path)
 
 
 def test_checkpoint_truncated(tmp_path):
-    model = net.init_model(_tiny_config(), seed=1)
-    path = tmp_path / "m.tsm"
-    net.save_model(model, path)
-    raw = path.read_bytes()
-    path.write_bytes(raw[: len(raw) // 2])
-    with pytest.raises(ValueError, match="truncated"):
+    path, raw = _saved_bytes(tmp_path)
+    for bad, message in [
+        (raw[:20], "truncated header"),
+        (raw[: len(raw) // 2], "truncated parameter payload"),
+        (raw[:-1], "truncated parameter payload"),
+        (raw + b"\x00", "size mismatch"),
+    ]:
+        path.write_bytes(bad)
+        with pytest.raises(ValueError, match=message):
+            net.load_model(path)
+
+
+def test_load_model_closes_its_file(tmp_path):
+    path, _ = _saved_bytes(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         net.load_model(path)
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

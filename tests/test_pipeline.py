@@ -126,7 +126,7 @@ def test_train_determinism_identical_runs():
 def test_timestamps_mode_runs_network_once_per_step(monkeypatch):
     pairs = _corpus(noise=0.25, videos=3, seed=6)
     annotations = _annotate(pairs, seed=2)
-    counts = {"_forward": 0, "forward": 0}
+    counts = {"_forward": 0, "forward": 0, "adam_step": 0}
     for name in counts:
         original = getattr(net, name)
 
@@ -139,7 +139,8 @@ def test_timestamps_mode_runs_network_once_per_step(monkeypatch):
         epochs=4, warmup_epochs=2, lr=0.002, batch_size=2, supervision="timestamps", seed=3
     )
     pipeline.train(pairs, annotations, config, _model_config(6, 3))
-    assert counts == {"_forward": 4 * 3, "forward": 0}
+    # 3 videos in batches of 2: two optimizer steps per epoch
+    assert counts == {"_forward": 4 * 3, "forward": 0, "adam_step": 4 * 2}
 
 
 def test_train_validates_missing_supervision():
