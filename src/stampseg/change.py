@@ -103,14 +103,9 @@ def fb_boundaries(features, timestamps: TimestampSet, num_frames: int) -> np.nda
     features = _check_features(features)
     if features.shape[0] != num_frames:
         raise ValueError(f"features have {features.shape[0]} frames, expected {num_frames}")
+    timestamps.check_within(num_frames)
     frames = timestamps.frames
-    if frames[-1] >= num_frames:
-        raise ValueError(
-            f"timestamp frame {int(frames[-1])} outside video of {num_frames} frames"
-        )
     count = len(frames) - 1
-    if count < 1:
-        return np.empty(0, dtype=np.int64)
 
     forward = np.empty(count, dtype=np.int64)
     for i in range(count):
@@ -129,13 +124,8 @@ def fb_boundaries(features, timestamps: TimestampSet, num_frames: int) -> np.nda
 
 def uniform_boundaries(timestamps: TimestampSet, num_frames: int) -> np.ndarray:
     """Midpoint boundaries: b[i] = floor((t_i + t_{i+1}) / 2)."""
+    timestamps.check_within(num_frames)
     frames = timestamps.frames
-    if frames[-1] >= num_frames:
-        raise ValueError(
-            f"timestamp frame {int(frames[-1])} outside video of {num_frames} frames"
-        )
-    if len(frames) < 2:
-        return np.empty(0, dtype=np.int64)
     return (frames[:-1] + frames[1:]) // 2
 
 
@@ -148,11 +138,8 @@ def labels_from_boundaries(
     the i-th, and frames after the last boundary the final class.
     """
     boundaries = np.asarray(boundaries, dtype=np.int64)
+    timestamps.check_within(num_frames)
     frames, classes = timestamps.frames, timestamps.labels
-    if frames[-1] >= num_frames:
-        raise ValueError(
-            f"timestamp frame {int(frames[-1])} outside video of {num_frames} frames"
-        )
     if len(boundaries) != len(frames) - 1:
         raise ValueError(
             f"got {len(boundaries)} boundaries for {len(frames)} timestamps"
@@ -167,9 +154,3 @@ def labels_from_boundaries(
         labels[edges[i] : edges[i + 1]] = classes[i]
     return labels
 
-
-def normalize_features(features) -> np.ndarray:
-    """Scale every frame to unit Euclidean norm; zero frames are left at zero."""
-    features = _check_features(features)
-    norms = np.linalg.norm(features, axis=1, keepdims=True)
-    return features / np.where(norms > 0.0, norms, 1.0)

@@ -70,14 +70,8 @@ def _model_config(args, input_dim: int, num_classes: int) -> net.ModelConfig:
     )
 
 
-def cmd_train(args) -> int:
-    vocab, records = data.load_corpus(args.data, split=args.split)
-    dataset = [(r.features, r.labels) for r in records]
-    annotations = [r.timestamps for r in records]
-    if args.mode != "full" and any(ts is None for ts in annotations):
-        missing = [r.name for r in records if r.timestamps is None]
-        raise ValueError(f"mode {args.mode!r} needs timestamps; missing for {missing[:3]}")
-    config = pipeline.TrainConfig(
+def _train_config(args) -> pipeline.TrainConfig:
+    return pipeline.TrainConfig(
         epochs=args.epochs,
         warmup_epochs=args.warmup,
         lr=args.lr,
@@ -85,9 +79,18 @@ def cmd_train(args) -> int:
         weights=LossWeights(alpha=args.alpha, beta=args.beta, tau=args.tau),
         supervision=args.mode,
         boundary_method=args.boundary,
-        normalize_features=args.normalize_features,
         seed=args.seed,
     )
+
+
+def cmd_train(args) -> int:
+    vocab, records = data.load_corpus(args.data, split=args.split)
+    dataset = [(r.features, r.labels) for r in records]
+    annotations = [r.timestamps for r in records]
+    if args.mode != "full" and any(ts is None for ts in annotations):
+        missing = [r.name for r in records if r.timestamps is None]
+        raise ValueError(f"mode {args.mode!r} needs timestamps; missing for {missing[:3]}")
+    config = _train_config(args)
     model_config = _model_config(args, records[0].features.shape[1], vocab.num_classes)
 
     val_data = None
@@ -151,9 +154,7 @@ def cmd_boundaries(args) -> int:
         if rec.timestamps is None:
             raise ValueError(f"video {rec.name!r} has no timestamps")
         outputs = net.forward(model, rec.features)
-        bounds = pipeline.pseudo_boundaries(
-            outputs, rec.timestamps, args.boundary, args.normalize_features
-        )
+        bounds = pipeline.pseudo_boundaries(outputs, rec.timestamps, args.boundary)
         labels = change.labels_from_boundaries(rec.timestamps, bounds, len(rec.features))
         data.write_labels(labels, vocab, out_dir / f"{rec.name}.txt")
         sidecar = "".join(f"{i} {b}\n" for i, b in enumerate(bounds))
@@ -171,6 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Temporal action segmentation from one annotated frame per segment.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    train_cfg, model_cfg = pipeline.TrainConfig, net.ModelConfig
 
     p = sub.add_parser("synth", help="generate a synthetic corpus directory")
     p.add_argument("--out", required=True)
@@ -198,22 +200,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", default=None, help="write per-epoch log lines here")
     p.add_argument("--split", default="train")
     p.add_argument("--val", default=None, help="split to evaluate after each epoch")
-    p.add_argument("--mode", default="timestamps", choices=pipeline.SUPERVISION_MODES)
-    p.add_argument("--boundary", default="fb", choices=change.BOUNDARY_METHODS)
-    p.add_argument("--normalize-features", action="store_true")
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--warmup", type=int, default=30)
-    p.add_argument("--lr", type=float, default=0.0005)
-    p.add_argument("--batch", type=int, default=8)
-    p.add_argument("--alpha", type=float, default=0.15)
-    p.add_argument("--beta", type=float, default=0.075)
-    p.add_argument("--tau", type=float, default=4.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stages", type=int, default=4)
-    p.add_argument("--layers", type=int, default=10)
-    p.add_argument("--channels", type=int, default=64)
-    p.add_argument("--kernels", type=int, nargs=2, default=(5, 3), metavar=("K1", "K2"))
-    p.add_argument("--later-kernel", type=int, default=3)
+    p.add_argument("--mode", default=train_cfg.supervision, choices=pipeline.SUPERVISION_MODES)
+    p.add_argument("--boundary", default=train_cfg.boundary_method, choices=change.BOUNDARY_METHODS)
+    p.add_argument("--epochs", type=int, default=train_cfg.epochs)
+    p.add_argument("--warmup", type=int, default=train_cfg.warmup_epochs)
+    p.add_argument("--lr", type=float, default=train_cfg.lr)
+    p.add_argument("--batch", type=int, default=train_cfg.batch_size)
+    p.add_argument("--alpha", type=float, default=LossWeights.alpha)
+    p.add_argument("--beta", type=float, default=LossWeights.beta)
+    p.add_argument("--tau", type=float, default=LossWeights.tau)
+    p.add_argument("--seed", type=int, default=train_cfg.seed)
+    p.add_argument("--stages", type=int, default=model_cfg.num_stages)
+    p.add_argument("--layers", type=int, default=model_cfg.layers_per_stage)
+    p.add_argument("--channels", type=int, default=model_cfg.channels)
+    p.add_argument("--kernels", type=int, nargs=2, default=model_cfg.first_stage_kernels,
+                   metavar=("K1", "K2"))
+    p.add_argument("--later-kernel", type=int, default=model_cfg.later_kernel)
     p.add_argument("--save-every", type=int, default=0,
                    help="also checkpoint every this many epochs")
     p.set_defaults(func=cmd_train)
@@ -231,8 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--split", default="train")
-    p.add_argument("--boundary", default="fb", choices=change.BOUNDARY_METHODS)
-    p.add_argument("--normalize-features", action="store_true")
+    p.add_argument("--boundary", default=train_cfg.boundary_method, choices=change.BOUNDARY_METHODS)
     p.set_defaults(func=cmd_boundaries)
 
     return parser

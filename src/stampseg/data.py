@@ -77,6 +77,13 @@ class TimestampSet:
     def __len__(self) -> int:
         return len(self.frames)
 
+    def check_within(self, num_frames: int) -> None:
+        """Refuse the set unless every frame indexes a frame of a num_frames-long video."""
+        if self.frames[-1] >= num_frames:
+            raise ValueError(
+                f"timestamp frame {int(self.frames[-1])} outside video of {num_frames} frames"
+            )
+
 
 @dataclass
 class VideoRecord:
@@ -182,6 +189,8 @@ def load_features_npy(path) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError(f"{path}: expected a 2-D feature array, got shape {arr.shape}")
     frames = np.asarray(arr, dtype=np.float64).T
+    if frames.shape[0] < 1 or frames.shape[1] < 1:
+        raise ValueError(f"{path}: invalid shape {frames.shape[0]}x{frames.shape[1]}")
     if not np.isfinite(frames).all():
         raise ValueError(f"{path}: non-finite value in feature array")
     return frames
@@ -229,12 +238,10 @@ def load_timestamps(path, vocab: ActionVocab, num_frames: int | None = None) -> 
         labels[lineno - 1] = vocab.index_of(name)
     try:
         ts = TimestampSet(frames, labels)
+        if num_frames is not None:
+            ts.check_within(num_frames)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
-    if num_frames is not None and ts.frames[-1] >= num_frames:
-        raise ValueError(
-            f"{path}: timestamp frame {int(ts.frames[-1])} outside video of {num_frames} frames"
-        )
     return ts
 
 

@@ -137,11 +137,8 @@ def conf_loss_grad(probs, timestamps: TimestampSet) -> tuple[float, np.ndarray]:
     """
     probs = _check_probs(probs)
     num_frames, num_classes = probs.shape
+    timestamps.check_within(num_frames)
     frames, classes = timestamps.frames, timestamps.labels
-    if frames[-1] >= num_frames:
-        raise ValueError(
-            f"timestamp frame {int(frames[-1])} outside video of {num_frames} frames"
-        )
     if classes.min() < 0 or classes.max() >= num_classes:
         raise ValueError(f"timestamp class index out of range for {num_classes} classes")
     count = len(frames)

@@ -126,19 +126,16 @@ class MetricsReport:
         return "\t".join(("acc", "edit", "f1_10", "f1_25", "f1_50"))
 
 
-def report(pred, gt) -> MetricsReport:
-    """Score one video or a whole corpus.
+def report(preds, gts) -> MetricsReport:
+    """Score a corpus given as parallel sequences of predicted and true label arrays.
 
-    Accepts a single pair of label arrays or two parallel sequences of them.
+    A single video is a pair of one-element sequences.
     """
-    if isinstance(pred, np.ndarray):
-        preds, gts = [pred], [gt]
-    else:
-        preds, gts = list(pred), list(gt)
-        if len(preds) != len(gts):
-            raise ValueError("prediction and ground-truth lists differ in length")
-        if not preds:
-            raise ValueError("empty corpus")
+    preds, gts = list(preds), list(gts)
+    if len(preds) != len(gts):
+        raise ValueError("prediction and ground-truth lists differ in length")
+    if not preds:
+        raise ValueError("empty corpus")
     correct = 0
     total = 0
     edits = []

@@ -393,11 +393,17 @@ def load_model(path) -> ModelState:
         input_dim=int(header[6]),
         num_classes=int(header[7]),
     )
-    shapes = param_shapes(config)
+    # every layer of each of the num_stages + 1 stacks holds at least 4 floats;
+    # refuse before param_shapes builds a table the size the header claims
+    least = 4 + 8 * 4 + 16 * config.layers_per_stage * (config.num_stages + 1)
+    if least > len(raw):
+        raise ValueError(
+            f"{path}: truncated parameter payload, header needs at least {least} bytes"
+        )
     offset = 4 + 8 * 4
     params: dict[str, np.ndarray] = {}
-    for key, shape in shapes.items():
-        size = int(np.prod(shape))
+    for key, shape in param_shapes(config).items():
+        size = math.prod(shape)
         end = offset + size * 4
         if end > len(raw):
             raise ValueError(f"{path}: truncated parameter payload at {key}")

@@ -37,7 +37,6 @@ class TrainConfig:
     weights: LossWeights = field(default_factory=LossWeights)
     supervision: str = "timestamps"
     boundary_method: str = "fb"
-    normalize_features: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -73,15 +72,14 @@ def format_log(entries: list[EpochLog]) -> str:
 
 
 def pseudo_boundaries(
-    outputs: net.StageOutputs,
-    timestamps: TimestampSet,
-    method: str = "fb",
-    normalize: bool = False,
+    outputs: net.StageOutputs, timestamps: TimestampSet, method: str = "fb"
 ) -> np.ndarray:
-    """The estimator's N-1 boundaries for one video's N timestamps (empty for one)."""
+    """The estimator's N-1 boundaries for one video's N timestamps (empty for one).
+
+    ``fb`` and ``s2s_features`` split on the penultimate activations,
+    ``s2s_prob`` on the final-stage probabilities.
+    """
     frames, classes = timestamps.frames, timestamps.labels
-    if len(frames) < 2:
-        return np.empty(0, dtype=np.int64)
     if method == "s2s_prob":
         probs = outputs.probs[-1]
         return np.array(
@@ -94,8 +92,6 @@ def pseudo_boundaries(
             dtype=np.int64,
         )
     feats = outputs.penultimate
-    if normalize:
-        feats = change.normalize_features(feats)
     if method == "fb":
         return change.fb_boundaries(feats, timestamps, feats.shape[0])
     if method == "s2s_features":
@@ -110,15 +106,12 @@ def pseudo_boundaries(
 
 
 def pseudo_labels(
-    outputs: net.StageOutputs,
-    timestamps: TimestampSet,
-    method: str = "fb",
-    normalize: bool = False,
+    outputs: net.StageOutputs, timestamps: TimestampSet, method: str = "fb"
 ) -> np.ndarray:
-    """Dense labels for one video derived from model outputs and its timestamps."""
+    """Dense labels for one video: its ``pseudo_boundaries`` expanded over every frame."""
     return change.labels_from_boundaries(
         timestamps,
-        pseudo_boundaries(outputs, timestamps, method, normalize),
+        pseudo_boundaries(outputs, timestamps, method),
         outputs.penultimate.shape[0],
     )
 
@@ -161,8 +154,11 @@ def train(
             raise ValueError(f"supervision mode {mode!r} needs timestamps for video {i}")
         if mode == "full" and labels is None:
             raise ValueError(f"supervision mode 'full' needs frame labels for video {i}")
-        if ts is not None and ts.frames[-1] >= feats.shape[0]:
-            raise ValueError(f"timestamp outside video {i}")
+        if ts is not None:
+            try:
+                ts.check_within(feats.shape[0])
+            except ValueError as err:
+                raise ValueError(f"video {i}: {err}") from None
 
     # one fixed (target, mask) per video; timestamps mode uses it during warmup
     fixed = []
@@ -189,9 +185,7 @@ def train(
                 feats, _ = videos[vi]
                 ts = annotations[vi]
                 if mode == "timestamps" and epoch > config.warmup_epochs:
-                    target = lambda outputs: pseudo_labels(
-                        outputs, ts, config.boundary_method, config.normalize_features
-                    )
+                    target = lambda outputs: pseudo_labels(outputs, ts, config.boundary_method)
                     mask = None
                 else:
                     target, mask = fixed[vi]

@@ -223,11 +223,3 @@ def test_labels_from_boundaries_covers_timestamps_property():
         changes = np.flatnonzero(np.diff(labels))
         assert set(changes.tolist()) <= set(bounds.tolist())
 
-
-def test_normalize_features_unit_rows():
-    rng = np.random.default_rng(2)
-    feats = rng.standard_normal((20, 5)) * 3.0
-    unit = change.normalize_features(feats)
-    np.testing.assert_allclose(np.linalg.norm(unit, axis=1), 1.0, atol=1e-12)
-    zero = change.normalize_features(np.zeros((4, 3)))
-    np.testing.assert_array_equal(zero, np.zeros((4, 3)))

@@ -149,6 +149,14 @@ def test_train_timestamps_mode_runs(tmp_path, capsys):
     )
 
 
+def test_train_defaults_are_the_config_defaults():
+    args = cli.build_parser().parse_args(["train", "--data", "c", "--out", "m.bin"])
+    assert cli._train_config(args) == pipeline.TrainConfig()
+    assert cli._model_config(args, 6, 3) == net.ModelConfig(input_dim=6, num_classes=3)
+    args = cli.build_parser().parse_args(["boundaries", "--data", "c", "--model", "m", "--out", "o"])
+    assert args.boundary == pipeline.TrainConfig().boundary_method
+
+
 def test_train_missing_timestamps_errors(tmp_path, capsys):
     root = _synth(tmp_path / "corpus")
     code = _run("train", "--data", root, "--out", tmp_path / "m.bin",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from stampseg import data
+from stampseg import change, data
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +108,14 @@ def test_feature_npy_transposed(tmp_path):
     np.testing.assert_allclose(loaded, arr.T, atol=1e-6)
 
 
+@pytest.mark.parametrize("shape", [(5, 0), (0, 7)])
+def test_feature_npy_refuses_empty(tmp_path, shape):
+    path = tmp_path / "x.npy"
+    np.save(path, np.zeros(shape, dtype=np.float32))
+    with pytest.raises(ValueError, match="invalid shape"):
+        data.load_features_npy(path)
+
+
 # ---------------------------------------------------------------------------
 # labels
 
@@ -164,6 +172,18 @@ def test_timestamps_outside_video(tmp_path):
     path.write_text("30 a\n", encoding="utf-8")
     with pytest.raises(ValueError, match="outside"):
         data.load_timestamps(path, vocab, num_frames=20)
+
+
+def test_range_rule_lives_in_timestamp_set():
+    ts = data.TimestampSet(np.array([2, 9]), np.array([0, 1]))
+    ts.check_within(10)
+    with pytest.raises(ValueError, match="^timestamp frame 9 outside video of 9 frames$"):
+        ts.check_within(9)
+    # the boundary helpers refuse through it too
+    with pytest.raises(ValueError, match="outside"):
+        change.uniform_boundaries(ts, 9)
+    with pytest.raises(ValueError, match="outside"):
+        change.labels_from_boundaries(ts, np.array([5]), 9)
 
 
 def test_timestamp_set_validation():

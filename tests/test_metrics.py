@@ -140,8 +140,11 @@ def test_label_permutation_invariance():
 
 def test_report_perfect_single_video():
     labels = np.array([0, 0, 1, 1, 2, 2])
-    rep = metrics.report(labels, labels)
+    rep = metrics.report([labels], [labels])
     assert rep.line() == "100.0\t100.0\t100.0\t100.0\t100.0"
+    # a bare pair of arrays is a corpus of 0-d labels, not one video
+    with pytest.raises(ValueError, match="1-D"):
+        metrics.report(labels, labels)
 
 
 def test_report_pools_accuracy_over_frames():

@@ -353,6 +353,23 @@ def test_checkpoint_truncated(tmp_path):
             net.load_model(path)
 
 
+def test_checkpoint_impossible_header_refused_before_param_table(tmp_path, monkeypatch):
+    path, raw = _saved_bytes(tmp_path)
+    real = net.param_shapes
+
+    def guarded(config):
+        if config.layers_per_stage > 1000:
+            raise AssertionError("parameter table built for an impossible header")
+        return real(config)
+
+    monkeypatch.setattr(net, "param_shapes", guarded)
+    header = np.frombuffer(raw, dtype="<u4", count=8, offset=4).copy()
+    header[1] = 2**31  # layers_per_stage
+    path.write_bytes(raw[:4] + header.tobytes() + raw[36:])
+    with pytest.raises(ValueError, match="truncated parameter payload"):
+        net.load_model(path)
+
+
 def test_load_model_closes_its_file(tmp_path):
     path, _ = _saved_bytes(tmp_path)
     with warnings.catch_warnings(record=True) as caught:

@@ -157,6 +157,16 @@ def test_train_validates_missing_supervision():
         )
 
 
+def test_train_refuses_timestamp_outside_video():
+    pairs = _corpus(noise=0.1, videos=2, seed=8)
+    annotations = _annotate(pairs)
+    num_frames = pairs[1][0].shape[0]
+    annotations[1] = data.TimestampSet(np.array([0, num_frames]), np.array([0, 1]))
+    config = pipeline.TrainConfig(epochs=1, warmup_epochs=0)
+    with pytest.raises(ValueError, match=f"video 1: .* outside video of {num_frames} frames"):
+        pipeline.train(pairs, annotations, config, _model_config(6, 3))
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError, match="warmup"):
         pipeline.TrainConfig(epochs=5, warmup_epochs=6)
@@ -193,15 +203,6 @@ def test_pseudo_labels_single_timestamp_whole_video():
     ts = data.TimestampSet(np.array([5]), np.array([2]))
     np.testing.assert_array_equal(pipeline.pseudo_labels(outputs, ts, "fb"), np.full(12, 2))
     assert pipeline.pseudo_boundaries(outputs, ts, "fb").shape == (0,)
-
-
-def test_pseudo_labels_normalized_variant_runs():
-    model = net.init_model(_model_config(6, 3), seed=1)
-    feats = np.random.default_rng(1).standard_normal((20, 6))
-    outputs = net.forward(model, feats)
-    ts = data.TimestampSet(np.array([2, 9, 16]), np.array([0, 1, 2]))
-    labels = pipeline.pseudo_labels(outputs, ts, "fb", normalize=True)
-    np.testing.assert_array_equal(labels[ts.frames], ts.labels)
 
 
 # ---------------------------------------------------------------------------
