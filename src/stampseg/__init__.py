@@ -22,7 +22,7 @@ from .data import (
     sample_timestamps_fraction,
     segments_from_labels,
 )
-from .loss import LossWeights, cls_loss, conf_loss, tmse_loss, total_loss
+from .loss import LossWeights
 from .metrics import MetricsReport, edit_score, f1_at, frame_accuracy, report
 from .net import (
     AdamState,
@@ -54,8 +54,6 @@ __all__ = [
     "TrainConfig",
     "VideoRecord",
     "adam_step",
-    "cls_loss",
-    "conf_loss",
     "edit_score",
     "evaluate",
     "f1_at",
@@ -81,8 +79,6 @@ __all__ = [
     "sample_timestamps_fraction",
     "save_model",
     "segments_from_labels",
-    "tmse_loss",
-    "total_loss",
     "train",
     "uniform_boundaries",
 ]

@@ -84,6 +84,8 @@ def _train_config(args) -> pipeline.TrainConfig:
 
 
 def cmd_train(args) -> int:
+    if args.save_every < 0:
+        raise ValueError(f"--save-every must be >= 0, got {args.save_every}")
     vocab, records = data.load_corpus(args.data, split=args.split)
     dataset = [(r.features, r.labels) for r in records]
     annotations = [r.timestamps for r in records]
@@ -217,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("K1", "K2"))
     p.add_argument("--later-kernel", type=int, default=model_cfg.later_kernel)
     p.add_argument("--save-every", type=int, default=0,
-                   help="also checkpoint every this many epochs")
+                   help="also checkpoint every this many epochs (0: never)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a model or stored predictions")

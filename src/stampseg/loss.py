@@ -1,9 +1,9 @@
 """Training losses over per-frame class probabilities.
 
 All three terms operate on a (T, C) probability matrix. Every logarithm of a
-probability is clamped below at log(1e-8). The ``*_grad`` variants return the
-loss together with its exact gradient with respect to the probabilities;
-entries at or below the clamp floor get zero gradient.
+probability is clamped below at log(1e-8). Each term is one ``*_grad``
+function that returns the loss together with its exact gradient with respect
+to the probabilities; entries at or below the clamp floor get zero gradient.
 """
 
 import math
@@ -87,10 +87,6 @@ def cls_loss_grad(probs, target, mask=None) -> tuple[float, np.ndarray]:
     return value, grad
 
 
-def cls_loss(probs, target, mask=None) -> float:
-    return cls_loss_grad(probs, target, mask)[0]
-
-
 # ---------------------------------------------------------------------------
 # truncated smoothing
 
@@ -117,10 +113,6 @@ def tmse_loss_grad(probs, tau: float = 4.0) -> tuple[float, np.ndarray]:
     grad_logs[1:] += coef
     grad_logs[:-1] -= coef
     return value, grad_logs * _dlog(probs)
-
-
-def tmse_loss(probs, tau: float = 4.0) -> float:
-    return tmse_loss_grad(probs, tau)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +156,6 @@ def conf_loss_grad(probs, timestamps: TimestampSet) -> tuple[float, np.ndarray]:
     return total / norm, (grad_logs / norm) * _dlog(probs)
 
 
-def conf_loss(probs, timestamps: TimestampSet) -> float:
-    return conf_loss_grad(probs, timestamps)[0]
-
-
 # ---------------------------------------------------------------------------
 # combination
 
@@ -185,9 +173,3 @@ def total_loss_grad(
         value += weights.beta * cv
         grad += weights.beta * cg
     return value, grad
-
-
-def total_loss(
-    probs, target, mask=None, timestamps=None, weights: LossWeights = LossWeights()
-) -> float:
-    return total_loss_grad(probs, target, mask, timestamps, weights)[0]

@@ -1,12 +1,13 @@
 """Multi-stage dilated temporal convolutional model with hand-derived gradients.
 
-Every stage maps a per-frame input to per-frame class probabilities: a 1x1
-input projection, a chain of dilated residual layers (dilation doubles per
-layer), then a 1x1 classifier followed by a row-wise softmax. The first stage
-runs two parallel residual chains with different kernel sizes over the input
-features and sums their activations before the classifier; every later stage
-consumes the previous stage's probabilities. All convolutions use zero "same"
-padding, so sequence length is preserved.
+Every stage maps a per-frame input to per-frame class probabilities: one or
+more residual stacks (a 1x1 input projection, then a chain of dilated residual
+layers whose dilation doubles per layer), their activations summed, then a 1x1
+classifier followed by a row-wise softmax. ``_stage_stacks`` is the one place
+that lays the stages out: the first stage runs one stack per first-stage
+kernel over the input features, and every later stage runs one stack over the
+previous stage's probabilities. All convolutions use zero "same" padding, so
+sequence length is preserved.
 
 Gradients are computed by explicit reverse-mode passes written against the
 forward code; there is no autodiff involved. Parameters live in a flat dict
@@ -82,26 +83,29 @@ class StageOutputs:
     penultimate: np.ndarray
 
 
+def _stage_stacks(config: ModelConfig, stage: int) -> list[tuple[str, int, int]]:
+    """(prefix, input width, kernel) of each residual stack that ``stage`` runs."""
+    if stage == 0:
+        return [
+            (f"s0.b{branch}", config.input_dim, kernel)
+            for branch, kernel in enumerate(config.first_stage_kernels)
+        ]
+    return [(f"s{stage}", config.num_classes, config.later_kernel)]
+
+
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Canonical parameter order: stage-major, layer-major, weight before bias."""
+    """Canonical parameter order: stage-major, stack-major, layer-major, weight before bias."""
     width = config.channels
     shapes: dict[str, tuple[int, ...]] = {}
-
-    def stack(prefix: str, in_dim: int, kernel: int):
-        shapes[f"{prefix}.proj.w"] = (width, in_dim)
-        shapes[f"{prefix}.proj.b"] = (width,)
-        for layer in range(config.layers_per_stage):
-            shapes[f"{prefix}.l{layer}.dw"] = (width, width, kernel)
-            shapes[f"{prefix}.l{layer}.db"] = (width,)
-            shapes[f"{prefix}.l{layer}.pw"] = (width, width)
-            shapes[f"{prefix}.l{layer}.pb"] = (width,)
-
-    for branch, kernel in enumerate(config.first_stage_kernels):
-        stack(f"s0.b{branch}", config.input_dim, kernel)
-    shapes["s0.cls.w"] = (config.num_classes, width)
-    shapes["s0.cls.b"] = (config.num_classes,)
-    for stage in range(1, config.num_stages):
-        stack(f"s{stage}", config.num_classes, config.later_kernel)
+    for stage in range(config.num_stages):
+        for prefix, in_dim, kernel in _stage_stacks(config, stage):
+            shapes[f"{prefix}.proj.w"] = (width, in_dim)
+            shapes[f"{prefix}.proj.b"] = (width,)
+            for layer in range(config.layers_per_stage):
+                shapes[f"{prefix}.l{layer}.dw"] = (width, width, kernel)
+                shapes[f"{prefix}.l{layer}.db"] = (width,)
+                shapes[f"{prefix}.l{layer}.pw"] = (width, width)
+                shapes[f"{prefix}.l{layer}.pb"] = (width,)
         shapes[f"s{stage}.cls.w"] = (config.num_classes, width)
         shapes[f"s{stage}.cls.b"] = (config.num_classes,)
     return shapes
@@ -193,7 +197,7 @@ def _stack_backward(params, prefix: str, cache, dh, grads):
         dh = dh + dx  # residual path plus conv path
     grads[f"{prefix}.proj.w"] += dh.T @ cache["x"]
     grads[f"{prefix}.proj.b"] += dh.sum(axis=0)
-    return dh @ params[f"{prefix}.proj.w"]
+    return dh  # at the projection's output; the stack's input gradient is dh @ proj.w
 
 
 def _check_input(config: ModelConfig, features) -> np.ndarray:
@@ -214,49 +218,38 @@ def _forward(model: ModelState, features):
     config, params = model.config, model.params
     stage_caches = []
     probs_list = []
-
-    branch_out = []
-    branch_caches = []
-    for branch in range(len(config.first_stage_kernels)):
-        h, cache = _stack_forward(params, f"s0.b{branch}", features, config.layers_per_stage)
-        branch_out.append(h)
-        branch_caches.append(cache)
-    act = branch_out[0] + branch_out[1]
-    probs = softmax_rows(act @ params["s0.cls.w"].T + params["s0.cls.b"])
-    probs_list.append(probs)
-    stage_caches.append({"branches": branch_caches, "act": act, "probs": probs})
-    penultimate = act
-
-    for stage in range(1, config.num_stages):
-        h, cache = _stack_forward(params, f"s{stage}", probs, config.layers_per_stage)
-        probs = softmax_rows(h @ params[f"s{stage}.cls.w"].T + params[f"s{stage}.cls.b"])
-        probs_list.append(probs)
-        stage_caches.append({"stack": cache, "act": h, "probs": probs})
-        penultimate = h
-
-    return probs_list, penultimate, stage_caches
+    x = features
+    for stage in range(config.num_stages):
+        act = None
+        branches = []
+        for prefix, *_ in _stage_stacks(config, stage):
+            h, cache = _stack_forward(params, prefix, x, config.layers_per_stage)
+            act = h if act is None else act + h
+            branches.append(cache)
+        x = softmax_rows(act @ params[f"s{stage}.cls.w"].T + params[f"s{stage}.cls.b"])
+        probs_list.append(x)
+        stage_caches.append({"branches": branches, "act": act, "probs": x})
+    return probs_list, act, stage_caches
 
 
 def _backward(model: ModelState, stage_caches, dprobs_list):
     config, params = model.config, model.params
     grads = {key: np.zeros_like(value) for key, value in params.items()}
-    flow = None  # gradient reaching the current stage's probs from the stage above
+    above = []  # (prefix, projection-output gradient) of each stack of the stage above
     for stage in range(config.num_stages - 1, -1, -1):
         cache = stage_caches[stage]
         dprobs = dprobs_list[stage]
-        if flow is not None:
-            dprobs = dprobs + flow
+        for prefix, dh in above:
+            dprobs = dprobs + dh @ params[f"{prefix}.proj.w"]
         dz = _softmax_backward(cache["probs"], dprobs)
-        prefix = f"s{stage}"
-        grads[f"{prefix}.cls.w"] += dz.T @ cache["act"]
-        grads[f"{prefix}.cls.b"] += dz.sum(axis=0)
-        dact = dz @ params[f"{prefix}.cls.w"]
-        if stage == 0:
-            for branch in range(len(config.first_stage_kernels)):
-                _stack_backward(params, f"s0.b{branch}", cache["branches"][branch], dact, grads)
-            flow = None
-        else:
-            flow = _stack_backward(params, prefix, cache["stack"], dact, grads)
+        grads[f"s{stage}.cls.w"] += dz.T @ cache["act"]
+        grads[f"s{stage}.cls.b"] += dz.sum(axis=0)
+        dact = dz @ params[f"s{stage}.cls.w"]
+        stacks = zip(_stage_stacks(config, stage), cache["branches"])
+        above = [
+            (prefix, _stack_backward(params, prefix, stack_cache, dact, grads))
+            for (prefix, *_), stack_cache in stacks
+        ]
     return grads
 
 
@@ -384,15 +377,18 @@ def load_model(path) -> ModelState:
     if len(raw) < 4 + 8 * 4:
         raise ValueError(f"{path}: truncated header")
     header = np.frombuffer(raw, dtype="<u4", count=8, offset=4)
-    config = ModelConfig(
-        num_stages=int(header[0]),
-        layers_per_stage=int(header[1]),
-        channels=int(header[2]),
-        first_stage_kernels=(int(header[3]), int(header[4])),
-        later_kernel=int(header[5]),
-        input_dim=int(header[6]),
-        num_classes=int(header[7]),
-    )
+    try:
+        config = ModelConfig(
+            num_stages=int(header[0]),
+            layers_per_stage=int(header[1]),
+            channels=int(header[2]),
+            first_stage_kernels=(int(header[3]), int(header[4])),
+            later_kernel=int(header[5]),
+            input_dim=int(header[6]),
+            num_classes=int(header[7]),
+        )
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     # every layer of each of the num_stages + 1 stacks holds at least 4 floats;
     # refuse before param_shapes builds a table the size the header claims
     least = 4 + 8 * 4 + 16 * config.layers_per_stage * (config.num_stages + 1)

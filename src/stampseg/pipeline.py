@@ -159,6 +159,9 @@ def train(
                 ts.check_within(feats.shape[0])
             except ValueError as err:
                 raise ValueError(f"video {i}: {err}") from None
+    for i, (_feats, labels) in enumerate(val_data or ()):
+        if labels is None:
+            raise ValueError(f"val_data video {i} has no frame labels")
 
     # one fixed (target, mask) per video; timestamps mode uses it during warmup
     fixed = []

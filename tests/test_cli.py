@@ -177,6 +177,17 @@ def test_train_save_every_writes_checkpoints(tmp_path, capsys):
     )
 
 
+def test_train_save_every_refuses_negative(tmp_path, capsys):
+    root = _synth(tmp_path / "corpus")
+    model_path = tmp_path / "model.bin"
+    assert _run(
+        "train", "--data", root, "--out", model_path, "--mode", "full",
+        "--epochs", 1, "--warmup", 0, "--save-every", -3, *TINY_NET,
+    ) == 1
+    assert "--save-every must be >= 0" in capsys.readouterr().err
+    assert not model_path.exists()
+
+
 def test_eval_pred_directory(tmp_path, capsys):
     root = _synth(tmp_path / "corpus")
     pred_dir = tmp_path / "preds"

@@ -22,20 +22,20 @@ def _ts(frames, labels):
 
 def test_cls_perfect_prediction_is_zero():
     probs = np.eye(3)[np.array([0, 2, 1, 1])]
-    assert loss.cls_loss(probs, np.array([0, 2, 1, 1])) == 0.0
+    assert loss.cls_loss_grad(probs, np.array([0, 2, 1, 1]))[0] == 0.0
 
 
 def test_cls_uniform_four_classes():
     probs = np.full((6, 4), 0.25)
     target = np.array([0, 1, 2, 3, 0, 1])
-    assert abs(loss.cls_loss(probs, target) - math.log(4.0)) < 1e-9
+    assert abs(loss.cls_loss_grad(probs, target)[0] - math.log(4.0)) < 1e-9
 
 
 def test_cls_masked_subset():
     probs = np.array([[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]])
     target = np.array([0, 0, 1])
     expected = -(math.log(0.9) + math.log(0.8)) / 2
-    assert abs(loss.cls_loss(probs, target, mask={0, 2}) - expected) < 1e-12
+    assert abs(loss.cls_loss_grad(probs, target, mask={0, 2})[0] - expected) < 1e-12
 
 
 def test_cls_empty_mask_zero():
@@ -56,7 +56,7 @@ def test_cls_matches_oracle_random():
         if rng.random() < 0.5:
             size = int(rng.integers(0, num_frames + 1))
             mask = set(int(x) for x in rng.choice(num_frames, size=size, replace=False))
-        got = loss.cls_loss(probs, target, mask)
+        got = loss.cls_loss_grad(probs, target, mask)[0]
         want = oracles.cls(probs, target, mask)
         assert abs(got - want) < 1e-10
 
@@ -64,12 +64,12 @@ def test_cls_matches_oracle_random():
 def test_cls_target_out_of_range():
     probs = np.full((3, 2), 0.5)
     with pytest.raises(ValueError, match="out of range"):
-        loss.cls_loss(probs, np.array([0, 2, 1]))
+        loss.cls_loss_grad(probs, np.array([0, 2, 1]))
 
 
 def test_cls_clamp_floor():
     probs = np.array([[0.0, 1.0]])
-    value = loss.cls_loss(probs, np.array([0]))
+    value = loss.cls_loss_grad(probs, np.array([0]))[0]
     assert abs(value - (-math.log(1e-8))) < 1e-9
 
 
@@ -78,17 +78,17 @@ def test_cls_clamp_floor():
 
 def test_tmse_constant_probs_zero():
     probs = np.tile(np.array([[0.2, 0.3, 0.5]]), (9, 1))
-    assert loss.tmse_loss(probs) == 0.0
+    assert loss.tmse_loss_grad(probs)[0] == 0.0
 
 
 def test_tmse_clip_arithmetic():
     # one column, log ratio of 10 clipped at 4, then 4^2 / (T*C) = 16 / 2
     probs = np.array([[1.0], [math.exp(-10.0)]])
-    assert abs(loss.tmse_loss(probs, tau=4.0) - 8.0) < 1e-9
+    assert abs(loss.tmse_loss_grad(probs, tau=4.0)[0] - 8.0) < 1e-9
 
 
 def test_tmse_single_frame_zero():
-    assert loss.tmse_loss(np.array([[0.4, 0.6]])) == 0.0
+    assert loss.tmse_loss_grad(np.array([[0.4, 0.6]]))[0] == 0.0
 
 
 def test_tmse_matches_oracle_random():
@@ -96,7 +96,7 @@ def test_tmse_matches_oracle_random():
     for _ in range(40):
         probs = _rand_probs(rng, int(rng.integers(1, 25)), int(rng.integers(1, 5)))
         tau = float(rng.uniform(0.5, 6.0))
-        assert abs(loss.tmse_loss(probs, tau) - oracles.tmse(probs, tau)) < 1e-10
+        assert abs(loss.tmse_loss_grad(probs, tau)[0] - oracles.tmse(probs, tau)) < 1e-10
 
 
 def test_tmse_nonnegative_and_bounded():
@@ -104,7 +104,7 @@ def test_tmse_nonnegative_and_bounded():
     for _ in range(20):
         probs = _rand_probs(rng, 12, 3)
         tau = 4.0
-        value = loss.tmse_loss(probs, tau)
+        value = loss.tmse_loss_grad(probs, tau)[0]
         assert 0.0 <= value <= tau * tau
 
 
@@ -123,22 +123,22 @@ def _peaked_probs(num_frames, num_classes, ts):
 def test_conf_monotone_columns_zero():
     ts = _ts([3, 10, 17], [0, 1, 2])
     probs = _peaked_probs(22, 3, ts)
-    assert loss.conf_loss(probs, ts) == 0.0
+    assert loss.conf_loss_grad(probs, ts)[0] == 0.0
 
 
 def test_conf_violation_positive():
     ts = _ts([2, 8], [0, 1])
     probs = _peaked_probs(12, 2, ts)
     probs[5, 0] = probs[4, 0] * 2.0  # bump while moving away from frame 2
-    assert loss.conf_loss(probs, ts) > 0.0
+    assert loss.conf_loss_grad(probs, ts)[0] > 0.0
 
 
 def test_conf_single_timestamp_guard():
     ts = _ts([0], [0])
     probs = np.full((6, 2), 0.5)
-    assert loss.conf_loss(probs, ts) == 0.0
+    assert loss.conf_loss_grad(probs, ts)[0] == 0.0
     ts2 = _ts([3], [0])
-    assert math.isfinite(loss.conf_loss(probs, ts2))
+    assert math.isfinite(loss.conf_loss_grad(probs, ts2)[0])
 
 
 def test_conf_matches_oracle_random():
@@ -151,7 +151,7 @@ def test_conf_matches_oracle_random():
         frames = np.sort(rng.choice(num_frames, size=count, replace=False))
         classes = rng.integers(0, num_classes, size=count)
         ts = _ts(frames, classes)
-        got = loss.conf_loss(probs, ts)
+        got = loss.conf_loss_grad(probs, ts)[0]
         want = oracles.conf(probs, [int(f) for f in frames], [int(c) for c in classes])
         assert abs(got - want) < 1e-10
 
@@ -159,7 +159,7 @@ def test_conf_matches_oracle_random():
 def test_conf_timestamp_outside():
     probs = np.full((5, 2), 0.5)
     with pytest.raises(ValueError, match="outside"):
-        loss.conf_loss(probs, _ts([7], [0]))
+        loss.conf_loss_grad(probs, _ts([7], [0]))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +170,8 @@ def test_total_reduces_to_cls():
     probs = _rand_probs(rng, 10, 3)
     target = rng.integers(0, 3, size=10)
     weights = loss.LossWeights(alpha=0.0, beta=0.0)
-    assert abs(loss.total_loss(probs, target, weights=weights) - loss.cls_loss(probs, target)) < 1e-12
+    want = loss.cls_loss_grad(probs, target)[0]
+    assert abs(loss.total_loss_grad(probs, target, weights=weights)[0] - want) < 1e-12
 
 
 def test_total_is_weighted_sum():
@@ -180,11 +181,11 @@ def test_total_is_weighted_sum():
     ts = _ts([2, 7, 12], [0, 1, 2])
     weights = loss.LossWeights(alpha=0.15, beta=0.075, tau=4.0)
     want = (
-        loss.cls_loss(probs, target)
-        + 0.15 * loss.tmse_loss(probs, 4.0)
-        + 0.075 * loss.conf_loss(probs, ts)
+        loss.cls_loss_grad(probs, target)[0]
+        + 0.15 * loss.tmse_loss_grad(probs, 4.0)[0]
+        + 0.075 * loss.conf_loss_grad(probs, ts)[0]
     )
-    assert abs(loss.total_loss(probs, target, None, ts, weights) - want) < 1e-12
+    assert abs(loss.total_loss_grad(probs, target, None, ts, weights)[0] - want) < 1e-12
 
 
 def test_total_without_timestamps_drops_conf():
@@ -192,8 +193,8 @@ def test_total_without_timestamps_drops_conf():
     probs = _rand_probs(rng, 8, 2)
     target = rng.integers(0, 2, size=8)
     weights = loss.LossWeights(alpha=0.2, beta=0.5)
-    want = loss.cls_loss(probs, target) + 0.2 * loss.tmse_loss(probs, weights.tau)
-    assert abs(loss.total_loss(probs, target, weights=weights) - want) < 1e-12
+    want = loss.cls_loss_grad(probs, target)[0] + 0.2 * loss.tmse_loss_grad(probs, weights.tau)[0]
+    assert abs(loss.total_loss_grad(probs, target, weights=weights)[0] - want) < 1e-12
 
 
 def test_total_empty_mask_zero_when_unweighted():
@@ -210,9 +211,9 @@ def test_losses_nonnegative_random():
         probs = _rand_probs(rng, 16, 4)
         target = rng.integers(0, 4, size=16)
         ts = _ts([3, 9, 14], rng.integers(0, 4, size=3))
-        assert loss.cls_loss(probs, target) >= 0.0
-        assert loss.tmse_loss(probs) >= 0.0
-        assert loss.conf_loss(probs, ts) >= 0.0
+        assert loss.cls_loss_grad(probs, target)[0] >= 0.0
+        assert loss.tmse_loss_grad(probs)[0] >= 0.0
+        assert loss.conf_loss_grad(probs, ts)[0] >= 0.0
 
 
 def test_weights_validation():
@@ -274,9 +275,9 @@ def test_loss_gradients_match_finite_differences():
             continue
         checked += 1
         cases = [
-            (lambda p: loss.cls_loss(p, target), loss.cls_loss_grad(probs, target)[1]),
-            (lambda p: loss.tmse_loss(p, tau), loss.tmse_loss_grad(probs, tau)[1]),
-            (lambda p: loss.conf_loss(p, ts), loss.conf_loss_grad(probs, ts)[1]),
+            (lambda p: loss.cls_loss_grad(p, target)[0], loss.cls_loss_grad(probs, target)[1]),
+            (lambda p: loss.tmse_loss_grad(p, tau)[0], loss.tmse_loss_grad(probs, tau)[1]),
+            (lambda p: loss.conf_loss_grad(p, ts)[0], loss.conf_loss_grad(probs, ts)[1]),
         ]
         for fn, analytic in cases:
             numeric = _fd_grad(fn, probs)

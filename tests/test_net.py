@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -315,6 +316,35 @@ def test_checkpoint_roundtrip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_param_shapes_order_is_the_checkpoint_layout():
+    # save_model writes the parameters in exactly this order
+    config = _tiny_config(num_stages=2, layers_per_stage=1)
+    assert list(net.param_shapes(config).items()) == [
+        ("s0.b0.proj.w", (4, 5)),
+        ("s0.b0.proj.b", (4,)),
+        ("s0.b0.l0.dw", (4, 4, 5)),
+        ("s0.b0.l0.db", (4,)),
+        ("s0.b0.l0.pw", (4, 4)),
+        ("s0.b0.l0.pb", (4,)),
+        ("s0.b1.proj.w", (4, 5)),
+        ("s0.b1.proj.b", (4,)),
+        ("s0.b1.l0.dw", (4, 4, 3)),
+        ("s0.b1.l0.db", (4,)),
+        ("s0.b1.l0.pw", (4, 4)),
+        ("s0.b1.l0.pb", (4,)),
+        ("s0.cls.w", (3, 4)),
+        ("s0.cls.b", (3,)),
+        ("s1.proj.w", (4, 3)),
+        ("s1.proj.b", (4,)),
+        ("s1.l0.dw", (4, 4, 3)),
+        ("s1.l0.db", (4,)),
+        ("s1.l0.pw", (4, 4)),
+        ("s1.l0.pb", (4,)),
+        ("s1.cls.w", (3, 4)),
+        ("s1.cls.b", (3,)),
+    ]
+
+
 def test_checkpoint_forward_agrees_after_roundtrip(tmp_path):
     model = net.init_model(_tiny_config(num_stages=2), seed=8)
     feats = np.random.default_rng(3).standard_normal((30, 5))
@@ -368,6 +398,16 @@ def test_checkpoint_impossible_header_refused_before_param_table(tmp_path, monke
     path.write_bytes(raw[:4] + header.tobytes() + raw[36:])
     with pytest.raises(ValueError, match="truncated parameter payload"):
         net.load_model(path)
+
+
+def test_checkpoint_invalid_config_names_the_file(tmp_path):
+    path, raw = _saved_bytes(tmp_path)
+    for field, value, message in [(0, 0, "num_stages must be >= 1"), (3, 4, "odd")]:
+        header = np.frombuffer(raw, dtype="<u4", count=8, offset=4).copy()
+        header[field] = value
+        path.write_bytes(raw[:4] + header.tobytes() + raw[36:])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{message}"):
+            net.load_model(path)
 
 
 def test_load_model_closes_its_file(tmp_path):

@@ -236,6 +236,19 @@ def test_val_data_adds_reports():
     assert all(e.report is not None for e in logs)
 
 
+def test_val_data_without_labels_refused_before_training(monkeypatch):
+    pairs = _corpus(noise=0.1, videos=3, seed=12)
+    val_data = [pairs[0], (pairs[1][0], None), pairs[2]]
+
+    def untouched(*args, **kwargs):
+        raise AssertionError("trained before checking val_data")
+
+    monkeypatch.setattr(net, "loss_and_grad", untouched)
+    config = pipeline.TrainConfig(epochs=1, warmup_epochs=0, supervision="full")
+    with pytest.raises(ValueError, match="val_data video 1 has no frame labels"):
+        pipeline.train(pairs, None, config, _model_config(6, 3), val_data=val_data)
+
+
 def test_divergence_reports_context(monkeypatch):
     pairs = _corpus(noise=0.1, videos=2, seed=13)
     annotations = _annotate(pairs)
