@@ -11,6 +11,10 @@ from .data import TimestampSet
 
 BOUNDARY_METHODS = ("fb", "s2s_features", "s2s_prob")
 
+# Candidate splits scored per matrix product in _split_energies; it bounds that
+# function's working memory to a few (window frames x _BLOCK) float64 arrays.
+_BLOCK = 256
+
 
 def _check_features(features) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
@@ -19,31 +23,59 @@ def _check_features(features) -> np.ndarray:
     return features
 
 
+def _cluster_distances(rows, sq_rows, means):
+    """(len(rows), len(means)) Euclidean distances from one matrix product.
+
+    Uses |x - m|^2 = |x|^2 - 2 x.m + |m|^2, clamped at 0 before the square root.
+    """
+    dist = rows @ means.T
+    dist *= -2.0
+    dist += sq_rows[:, None]
+    dist += np.einsum("ij,ij->i", means, means)[None, :]
+    np.maximum(dist, 0.0, out=dist)
+    return np.sqrt(dist, out=dist)
+
+
 def _split_energies(feats, span_start, cand_lo, cand_hi, span_end):
     """Energy of every split t in [cand_lo, cand_hi).
 
     For split t the left cluster is feats[span_start .. t] and the right
     cluster is feats[t + 1 .. span_end], both inclusive; each cluster is scored
     by the sum of Euclidean distances of its frames to the cluster mean.
-    Runs in O(L^2 F) time for a window of L frames.
+
+    The window is centred on its mean first, which keeps the expanded distance
+    |x|^2 - 2 x.m + |m|^2 from cancelling when the frames share a large offset.
+    Cluster means come from prefix and suffix sums, and each block of _BLOCK
+    candidates takes one matrix product per side. For a window of L frames of
+    dimension F this runs in O(L^2 F) time and O(_BLOCK L + L F) memory; no
+    (frames, candidates, F) array is built.
     """
-    count = cand_hi - cand_lo
-    idx = np.arange(count)
+    window = feats[span_start : span_end + 1]
+    # The clamp below would turn a NaN distance into 0, so refuse non-finite frames.
+    if not np.isfinite(window).all():
+        raise ValueError("non-finite value in input features")
+    window = window - window.mean(axis=0)
+    num = window.shape[0]
+    sq = np.einsum("ij,ij->i", window, window)
+    prefix = np.cumsum(window, axis=0)
+    suffix = np.cumsum(window[::-1], axis=0)[::-1]
 
-    left = feats[span_start:cand_hi]
-    sizes_l = (cand_lo - span_start) + idx + 1
-    means_l = np.cumsum(left, axis=0)[sizes_l - 1] / sizes_l[:, None]
-    dist_l = np.linalg.norm(left[:, None, :] - means_l[None, :, :], axis=2)
-    energy_l = np.cumsum(dist_l, axis=0)[sizes_l - 1, idx]
-
-    right = feats[cand_lo + 1 : span_end + 1]
-    sizes_r = len(right) - idx
-    suffix = np.cumsum(right[::-1], axis=0)[::-1]
-    means_r = suffix[idx] / sizes_r[:, None]
-    dist_r = np.linalg.norm(right[:, None, :] - means_r[None, :, :], axis=2)
-    energy_r = np.cumsum(dist_r[::-1], axis=0)[::-1][idx, idx]
-
-    return energy_l + energy_r
+    # Split a (window-relative) puts frames 0 .. a on the left and a + 1 .. num - 1
+    # on the right. In a block of splits lo + k, k < hi - lo, frames before lo are
+    # on the left of every split and frames from hi + 1 on the right of every
+    # split; only the frames in between need the triangular masks.
+    blocks = []
+    for lo in range(cand_lo - span_start, cand_hi - span_start, _BLOCK):
+        hi = min(lo + _BLOCK, cand_hi - span_start)
+        splits = np.arange(lo, hi)
+        means_l = prefix[lo:hi] / (splits + 1)[:, None]
+        dist = _cluster_distances(window[:hi], sq[:hi], means_l)
+        energy = dist[:lo].sum(axis=0) + np.triu(dist[lo:]).sum(axis=0)
+        means_r = suffix[lo + 1 : hi + 1] / (num - 1 - splits)[:, None]
+        dist = _cluster_distances(window[lo + 1 :], sq[lo + 1 :], means_r)
+        energy += np.tril(dist[: hi - lo]).sum(axis=0) + dist[hi - lo :].sum(axis=0)
+        blocks.append(energy)
+    return np.concatenate(blocks)
 
 
 def s2s_boundary(features, left: int, right: int) -> int:
@@ -51,7 +83,9 @@ def s2s_boundary(features, left: int, right: int) -> int:
 
     Returns the t in [left, right) minimizing the summed distance of
     features[left .. t] to their mean plus features[t + 1 .. right] to theirs.
-    Ties go to the smallest t.
+    Ties go to the smallest t. For L = right - left + 1 frames of dimension F
+    this takes O(L^2 F) time and O(_BLOCK L + L F) memory (see _split_energies).
+    A non-finite value in features[left .. right] raises ValueError.
     """
     features = _check_features(features)
     num_frames = features.shape[0]
@@ -68,10 +102,13 @@ def s2s_boundary_prob(probs, left_class: int, left: int, right_class: int, right
 
     The objective for split t is mean(probs[left .. t, left_class]) +
     mean(probs[t + 1 .. right, right_class]); ties go to the smallest t.
+    Non-finite probabilities raise ValueError.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2:
         raise ValueError("probs must be a (T, C) array")
+    if not np.isfinite(probs).all():
+        raise ValueError("non-finite value in input probabilities")
     num_frames, num_classes = probs.shape
     if not 0 <= left < right < num_frames:
         raise ValueError(
@@ -98,7 +135,8 @@ def fb_boundaries(features, timestamps: TimestampSet, num_frames: int) -> np.nda
     mirrors this right to left, with the right cluster ending at the following
     backward estimate (the last frame for the final boundary). The result is
     the floor average of the two passes; each pass lies in [t_i, t_{i+1}), so
-    their floor mean does too.
+    their floor mean does too. With two or more timestamps every frame lies in
+    some split window, so a non-finite feature raises ValueError.
     """
     features = _check_features(features)
     if features.shape[0] != num_frames:
