@@ -34,8 +34,8 @@ for strategy in ("random", "center", "start"):
 ts = data.sample_timestamps(labels, "random", seed=3)
 assert (labels[ts.frames] == ts.labels).all()
 
-# Corpora are written as plain directories: binary features, one label file
-# per video, a class-name mapping, and train/test bundles.
+# Corpora are written as plain directories: a .npy feature file and a label
+# file per video, a class-name mapping, and train/test bundles.
 import tempfile
 from pathlib import Path
 

@@ -2,8 +2,9 @@
 
 File formats
 ------------
-features    binary, little-endian: magic ``TSF1``, u32 frame count T, u32 feature
-            dimension D, then T*D float32 values in frame-major order.
+features    numpy ``.npy``, one (D, T) array per video (feature dimension by
+            frame count), the MS-TCN layout real corpora ship; written as
+            float32, read from any real dtype (``load_features`` lists refusals).
 labels      text, one action name per line; line t holds the label of frame t.
 vocabulary  text, lines ``<index> <name>`` covering indices 0..C-1 exactly once.
 timestamps  text, lines ``<frame> <name>`` with strictly ascending frame indices.
@@ -13,12 +14,11 @@ everywhere, in memory and on disk.
 """
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-FEATURE_MAGIC = b"TSF1"
 
 SAMPLING_STRATEGIES = ("random", "center", "start")
 
@@ -139,29 +139,43 @@ def write_vocab(vocab: ActionVocab, path) -> None:
 # features
 
 def load_features(path) -> np.ndarray:
-    """Read a binary feature file into a float64 array of shape (T, D)."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 4 or raw[:4] != FEATURE_MAGIC:
-        raise ValueError(f"{path}: bad magic, not a feature file")
-    if len(raw) < 12:
-        raise ValueError(f"{path}: truncated header")
-    header = np.frombuffer(raw, dtype="<u4", count=2, offset=4)
-    num_frames, dim = int(header[0]), int(header[1])
-    if num_frames < 1 or dim < 1:
-        raise ValueError(f"{path}: invalid shape {num_frames}x{dim}")
-    need = num_frames * dim * 4
-    payload = raw[12:]
-    if len(payload) < need:
-        raise ValueError(
-            f"{path}: truncated payload, expected {need} bytes, found {len(payload)}"
-        )
-    if len(payload) > need:
-        raise ValueError(f"{path}: {len(payload) - need} unexpected trailing bytes")
-    frames = (
-        np.frombuffer(payload, dtype="<f4", count=num_frames * dim)
-        .reshape(num_frames, dim)
-        .astype(np.float64)
-    )
+    """Read a dimension-major (D, T) ``.npy`` file into a C-contiguous float64 (T, D) array.
+
+    A ValueError naming the file refuses anything but a ``.npy`` file with a
+    real-number dtype, a non-empty 2-D shape and a payload that fills the rest
+    of the file exactly; a non-finite value is reported by frame and dimension.
+    The header is checked first, so a header that claims more data than the
+    file holds allocates nothing.
+    """
+    fmt = np.lib.format
+    with open(path, "rb") as fh:
+        try:
+            major, _ = fmt.read_magic(fh)
+        except ValueError as err:
+            raise ValueError(f"{path}: not a .npy file ({err})") from None
+        if major not in (1, 2, 3):
+            raise ValueError(f"{path}: unknown .npy format version {major}")
+        read_header = fmt.read_array_header_1_0 if major == 1 else fmt.read_array_header_2_0
+        try:
+            shape, fortran_order, dtype = read_header(fh)
+        except ValueError as err:
+            raise ValueError(f"{path}: truncated or malformed .npy header ({err})") from None
+        if dtype.hasobject:
+            raise ValueError(f"{path}: pickled data refused")
+        if dtype.kind not in "iuf":
+            raise ValueError(f"{path}: dtype {dtype} is not a real number type")
+        if len(shape) != 2 or min(shape) < 1:
+            raise ValueError(f"{path}: invalid shape {shape}, expected a non-empty (D, T) array")
+        count = shape[0] * shape[1]
+        need = count * dtype.itemsize
+        have = os.fstat(fh.fileno()).st_size - fh.tell()
+        if have < need:
+            raise ValueError(f"{path}: truncated payload, expected {need} bytes, found {have}")
+        if have > need:
+            raise ValueError(f"{path}: {have - need} unexpected trailing bytes")
+        arr = np.fromfile(fh, dtype=dtype, count=count)
+    arr = arr.reshape(shape, order="F" if fortran_order else "C")
+    frames = np.ascontiguousarray(arr.T, dtype=np.float64)
     bad = ~np.isfinite(frames)
     if bad.any():
         t, d = np.argwhere(bad)[0]
@@ -170,30 +184,19 @@ def load_features(path) -> np.ndarray:
 
 
 def write_features(frames: np.ndarray, path) -> None:
+    """Write (T, D) frames as the (D, T) float32 ``.npy`` file ``load_features`` reads.
+
+    The array is stored in Fortran order, so its bytes are frame-major and
+    neither side transposes. Saving through a file handle keeps ``np.save``
+    from appending ``.npy`` to ``path``.
+    """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[0] < 1 or frames.shape[1] < 1:
         raise ValueError("features must be a (T, D) array with T, D >= 1")
     if not np.isfinite(frames).all():
         raise ValueError("refusing to write non-finite features")
-    num_frames, dim = frames.shape
-    header = np.array([num_frames, dim], dtype="<u4")
     with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(header.tobytes())
-        fh.write(frames.astype("<f4").tobytes())
-
-
-def load_features_npy(path) -> np.ndarray:
-    """Read a numpy feature file stored dimension-major (D, T); returns (T, D)."""
-    arr = np.load(path, allow_pickle=False)
-    if arr.ndim != 2:
-        raise ValueError(f"{path}: expected a 2-D feature array, got shape {arr.shape}")
-    frames = np.asarray(arr, dtype=np.float64).T
-    if frames.shape[0] < 1 or frames.shape[1] < 1:
-        raise ValueError(f"{path}: invalid shape {frames.shape[0]}x{frames.shape[1]}")
-    if not np.isfinite(frames).all():
-        raise ValueError(f"{path}: non-finite value in feature array")
-    return frames
+        np.save(fh, frames.T.astype("<f4"))
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +425,7 @@ def write_corpus(
     (root / "splits").mkdir(exist_ok=True)
     write_vocab(vocab, root / "mapping.txt")
     for name, feats, labels in videos:
-        write_features(feats, root / "features" / f"{name}.tsf")
+        write_features(feats, root / "features" / f"{name}.npy")
         write_labels(labels, vocab, root / "groundTruth" / f"{name}.txt")
     (root / "splits" / "train.bundle").write_text(
         "".join(n + "\n" for n in train_names), encoding="utf-8"
@@ -435,9 +438,8 @@ def write_corpus(
 def load_corpus(data_dir, split: str = "train") -> tuple[ActionVocab, list[VideoRecord]]:
     """Load one split of a corpus directory.
 
-    Features are read from features/<name>.tsf, or features/<name>.npy when a
-    dimension-major numpy file is supplied instead. Ground-truth labels and
-    timestamps are attached when present.
+    Features are read from features/<name>.npy (see ``load_features``).
+    Ground-truth labels and timestamps are attached when present.
     """
     root = Path(data_dir)
     vocab = load_vocab(root / "mapping.txt")
@@ -446,14 +448,10 @@ def load_corpus(data_dir, split: str = "train") -> tuple[ActionVocab, list[Video
         raise ValueError(f"{bundle}: split bundle not found")
     records = []
     for name in _video_names(bundle):
-        tsf = root / "features" / f"{name}.tsf"
-        npy = root / "features" / f"{name}.npy"
-        if tsf.exists():
-            feats = load_features(tsf)
-        elif npy.exists():
-            feats = load_features_npy(npy)
-        else:
-            raise ValueError(f"no feature file for video {name!r} under {root / 'features'}")
+        feats_path = root / "features" / f"{name}.npy"
+        if not feats_path.exists():
+            raise ValueError(f"{feats_path}: feature file not found")
+        feats = load_features(feats_path)
         labels = None
         gt = root / "groundTruth" / f"{name}.txt"
         if gt.exists():

@@ -122,6 +122,15 @@ def _sparse_target(ts: TimestampSet, num_frames: int) -> np.ndarray:
     return target
 
 
+def _check_video(where: str, feats, labels, input_dim: int) -> None:
+    """Refuse features that are not (T, input_dim), or labels (when given) not T long."""
+    shape = np.shape(feats)
+    if len(shape) != 2 or shape[1] != input_dim:
+        raise ValueError(f"{where}: features of shape {shape}, the model takes (T, {input_dim})")
+    if labels is not None and len(labels) != shape[0]:
+        raise ValueError(f"{where}: {len(labels)} labels for {shape[0]} frames")
+
+
 def _chunks(order, size):
     for i in range(0, len(order), size):
         yield order[i : i + size]
@@ -149,19 +158,22 @@ def train(
     if len(annotations) != len(videos):
         raise ValueError("annotations and dataset differ in length")
     mode = config.supervision
+    input_dim = model_config.input_dim
     for i, (ts, (feats, labels)) in enumerate(zip(annotations, videos)):
         if mode in ("timestamps", "naive", "uniform") and ts is None:
             raise ValueError(f"supervision mode {mode!r} needs timestamps for video {i}")
         if mode == "full" and labels is None:
             raise ValueError(f"supervision mode 'full' needs frame labels for video {i}")
+        _check_video(f"video {i}", feats, labels if mode == "full" else None, input_dim)
         if ts is not None:
             try:
                 ts.check_within(feats.shape[0])
             except ValueError as err:
                 raise ValueError(f"video {i}: {err}") from None
-    for i, (_feats, labels) in enumerate(val_data or ()):
+    for i, (feats, labels) in enumerate(val_data or ()):
         if labels is None:
             raise ValueError(f"val_data video {i} has no frame labels")
+        _check_video(f"val_data video {i}", feats, labels, input_dim)
 
     # one fixed (target, mask) per video; timestamps mode uses it during warmup
     fixed = []

@@ -274,6 +274,29 @@ def test_missing_corpus_reports_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_train_on_empty_feature_file_reports_path(tmp_path, capsys):
+    root = _synth(tmp_path / "corpus")
+    name = (root / "splits" / "train.bundle").read_text().split()[1]
+    path = root / "features" / f"{name}.npy"
+    path.write_bytes(b"")
+    code = _run("train", "--data", root, "--out", tmp_path / "m.bin",
+                "--mode", "full", "--epochs", 1, "--warmup", 0, *TINY_NET)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {path}: not a .npy file")
+    assert "Traceback" not in err
+    assert not (tmp_path / "m.bin").exists()
+
+
+def test_corpus_without_npy_features_names_the_missing_file(tmp_path, capsys):
+    root = _synth(tmp_path / "corpus")
+    name = (root / "splits" / "test.bundle").read_text().split()[0]
+    path = root / "features" / f"{name}.npy"
+    path.rename(path.with_suffix(".tsf"))
+    assert _run("annotate", "--data", root, "--split", "test", "--strategy", "center") == 1
+    assert capsys.readouterr().err == f"error: {path}: feature file not found\n"
+
+
 def test_console_script_installed():
     import shutil
 

@@ -1,3 +1,6 @@
+import io
+import re
+
 import numpy as np
 import pytest
 
@@ -63,57 +66,119 @@ def test_vocab_name_with_spaces(tmp_path):
 def test_feature_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     frames = rng.standard_normal((17, 5))
-    path = tmp_path / "x.tsf"
+    path = tmp_path / "x.feat"
     data.write_features(frames, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["x.feat"]
+    assert np.load(path).shape == (5, 17)
     loaded = data.load_features(path)
     assert loaded.shape == (17, 5)
     assert loaded.dtype == np.float64
     np.testing.assert_allclose(loaded, frames, atol=1e-6)
 
 
+def _refused(path, message):
+    """pytest.raises for a ValueError whose message is '<path>: <message>'."""
+    return pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}")
+
+
 def test_feature_bad_magic(tmp_path):
-    path = tmp_path / "x.tsf"
+    path = tmp_path / "x.npy"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(ValueError, match="magic"):
+    with _refused(path, r"not a \.npy file \(.*magic"):
         data.load_features(path)
 
 
 def test_feature_truncated(tmp_path):
     rng = np.random.default_rng(0)
-    path = tmp_path / "x.tsf"
+    path = tmp_path / "x.npy"
     data.write_features(rng.standard_normal((4, 3)), path)
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
-    with pytest.raises(ValueError, match="truncated"):
+    with _refused(path, "truncated payload, expected 48 bytes, found 40$"):
         data.load_features(path)
 
 
 def test_feature_nonfinite_located(tmp_path):
-    frames = np.ones((3, 2), dtype="<f4")
-    frames[2, 1] = np.inf
-    path = tmp_path / "x.tsf"
-    header = np.array([3, 2], dtype="<u4")
-    path.write_bytes(b"TSF1" + header.tobytes() + frames.tobytes())
-    with pytest.raises(ValueError, match="frame 2, dim 1"):
+    arr = np.ones((2, 3), dtype=np.float32)  # (D, T) on disk
+    arr[1, 2] = np.inf
+    path = tmp_path / "x.npy"
+    np.save(path, arr)
+    with _refused(path, "non-finite value at frame 2, dim 1$"):
         data.load_features(path)
 
 
 def test_feature_npy_transposed(tmp_path):
+    # real corpora store each video as a C-ordered (D, T) float32 array
     rng = np.random.default_rng(1)
     arr = rng.standard_normal((6, 30)).astype(np.float32)  # (D, T) on disk
     path = tmp_path / "x.npy"
     np.save(path, arr)
-    loaded = data.load_features_npy(path)
-    assert loaded.shape == (30, 6)
-    np.testing.assert_allclose(loaded, arr.T, atol=1e-6)
+    loaded = data.load_features(path)
+    data.write_features(arr.T, tmp_path / "written.npy")
+    written = data.load_features(tmp_path / "written.npy")
+    for frames in (loaded, written):
+        assert frames.shape == (30, 6)
+        assert frames.dtype == np.float64
+        assert frames.flags.c_contiguous
+        np.testing.assert_array_equal(frames, arr.T.astype(np.float64))
 
 
 @pytest.mark.parametrize("shape", [(5, 0), (0, 7)])
 def test_feature_npy_refuses_empty(tmp_path, shape):
     path = tmp_path / "x.npy"
     np.save(path, np.zeros(shape, dtype=np.float32))
-    with pytest.raises(ValueError, match="invalid shape"):
-        data.load_features_npy(path)
+    with _refused(path, "invalid shape"):
+        data.load_features(path)
+
+
+def _npy(arr):
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    return buf.getvalue()
+
+
+def _npy_header(shape, descr):
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": descr, "fortran_order": False, "shape": shape}
+    )
+    return buf.getvalue()
+
+
+def _npz(path):
+    np.savez(path, x=np.ones((2, 3), dtype=np.float32))
+    return path.read_bytes()
+
+
+_GOOD = _npy(np.ones((2, 3), dtype=np.float32))
+
+# every refusal of load_features not covered by the tests above:
+# name -> (bytes of the file given a scratch path, message after "<path>: ")
+REFUSED_FEATURES = {
+    "empty": (lambda tmp: b"", r"not a \.npy file"),
+    "npz": (lambda tmp: _npz(tmp / "a.npz"), r"not a \.npy file"),
+    "truncated-header": (lambda tmp: _GOOD[:20], r"truncated or malformed \.npy header"),
+    "huge-shape": (
+        lambda tmp: _npy_header((10**6, 10**6), "<f4") + bytes(24),
+        "truncated payload, expected 4000000000000 bytes, found 24$",
+    ),
+    "trailing": (lambda tmp: _GOOD + bytes(3), "3 unexpected trailing bytes$"),
+    "pickled": (lambda tmp: _npy_header((2, 1), "|O") + bytes(16), "pickled data refused$"),
+    "complex": (lambda tmp: _npy(np.ones((2, 3), complex)), "dtype complex128 is not a real"),
+    "bool": (lambda tmp: _npy(np.ones((2, 3), bool)), "dtype bool is not a real"),
+    "text": (lambda tmp: _npy(np.array([["a", "b"]])), "dtype <U1 is not a real"),
+    "1d": (lambda tmp: _npy(np.ones(4, np.float32)), r"invalid shape \(4,\)"),
+    "3d": (lambda tmp: _npy(np.ones((1, 2, 3))), r"invalid shape \(1, 2, 3\)"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED_FEATURES))
+def test_feature_file_refused(tmp_path, case):
+    make, message = REFUSED_FEATURES[case]
+    path = tmp_path / "v.npy"
+    path.write_bytes(make(tmp_path))
+    with _refused(path, message):
+        data.load_features(path)
 
 
 # ---------------------------------------------------------------------------

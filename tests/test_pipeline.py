@@ -249,6 +249,56 @@ def test_val_data_without_labels_refused_before_training(monkeypatch):
         pipeline.train(pairs, None, config, _model_config(6, 3), val_data=val_data)
 
 
+def _narrowed(pair):
+    feats, labels = pair
+    return feats[:, :5], labels
+
+
+def _cut_labels(pair):
+    feats, labels = pair
+    return feats, labels[:-1]
+
+
+@pytest.mark.parametrize(
+    "where, mode, edit, match",
+    [
+        ("train", "full", _narrowed,
+         r"^video 1: features of shape \(\d+, 5\), the model takes \(T, 6\)$"),
+        ("train", "timestamps", _narrowed, r"^video 1: features of shape \(\d+, 5\)"),
+        ("val", "timestamps", _narrowed, r"val_data video 1: features of shape \(\d+, 5\)"),
+        ("val", "timestamps", _cut_labels, r"val_data video 1: \d+ labels for \d+ frames"),
+        ("train", "full", _cut_labels, r"^video 1: \d+ labels for \d+ frames"),
+    ],
+    ids=["train-width-full", "train-width-timestamps", "val-width", "val-labels",
+         "train-labels-full"],
+)
+def test_unusable_video_refused_before_training(monkeypatch, where, mode, edit, match):
+    pairs = _corpus(noise=0.1, videos=3, seed=12)
+    annotations = _annotate(pairs)
+    val_data = list(pairs)
+    if where == "train":
+        pairs[1] = edit(pairs[1])
+    else:
+        val_data[1] = edit(val_data[1])
+
+    def untouched(*args, **kwargs):
+        raise AssertionError("trained before checking every video")
+
+    monkeypatch.setattr(net, "loss_and_grad", untouched)
+    config = pipeline.TrainConfig(epochs=1, warmup_epochs=0, supervision=mode)
+    with pytest.raises(ValueError, match=match):
+        pipeline.train(pairs, annotations, config, _model_config(6, 3), val_data=val_data)
+
+
+def test_timestamps_mode_ignores_unused_label_count():
+    pairs = _corpus(noise=0.1, videos=2, seed=12)
+    annotations = _annotate(pairs)
+    pairs[1] = _cut_labels(pairs[1])
+    config = pipeline.TrainConfig(epochs=1, warmup_epochs=0, supervision="timestamps")
+    _, logs = pipeline.train(pairs, annotations, config, _model_config(6, 3))
+    assert len(logs) == 1
+
+
 def test_divergence_reports_context(monkeypatch):
     pairs = _corpus(noise=0.1, videos=2, seed=13)
     annotations = _annotate(pairs)
