@@ -9,8 +9,9 @@ labels      text, one action name per line; line t holds the label of frame t.
 vocabulary  text, lines ``<index> <name>`` covering indices 0..C-1 exactly once.
 timestamps  text, lines ``<frame> <name>`` with strictly ascending frame indices.
 
-All text files are UTF-8 with LF line endings. Frame indices are 0-based
-everywhere, in memory and on disk.
+All text files are UTF-8 with LF line endings; a reader refuses one that is
+not UTF-8, naming it. Frame indices are 0-based everywhere, in memory and on
+disk.
 """
 
 import math
@@ -99,11 +100,19 @@ class VideoRecord:
         return self.features.shape[0]
 
 
+def _read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; a file that is not UTF-8 is refused by name."""
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
+
+
 # ---------------------------------------------------------------------------
 # vocabulary
 
 def load_vocab(path) -> ActionVocab:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_lines(path)
     by_index: dict[int, str] = {}
     seen_names: set[str] = set()
     for lineno, line in enumerate(lines, start=1):
@@ -203,7 +212,7 @@ def write_features(frames: np.ndarray, path) -> None:
 # frame labels
 
 def load_labels(path, vocab: ActionVocab) -> np.ndarray:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty label file")
     out = np.empty(len(lines), dtype=np.int64)
@@ -225,7 +234,7 @@ def write_labels(labels: np.ndarray, vocab: ActionVocab, path) -> None:
 # timestamps on disk
 
 def load_timestamps(path, vocab: ActionVocab, num_frames: int | None = None) -> TimestampSet:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty timestamp file")
     frames = np.empty(len(lines), dtype=np.int64)
@@ -400,7 +409,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0) -> list[tuple[np.ndar
 
 def _video_names(bundle_path) -> list[str]:
     names = []
-    for line in Path(bundle_path).read_text(encoding="utf-8").splitlines():
+    for line in _read_lines(bundle_path):
         line = line.strip()
         if not line:
             continue

@@ -13,6 +13,13 @@ Gradients are computed by explicit reverse-mode passes written against the
 forward code; there is no autodiff involved. Parameters live in a flat dict
 keyed by a stable naming scheme (see ``param_shapes``), which also fixes the
 serialization order of checkpoints.
+
+The network computes in the dtype of its parameters: the input features are
+cast to it, and the forward activations, the backward pass and the gradients
+stay in it. The loss terms work in float64 on the (T, C) probabilities, and
+their gradients are cast back before the backward pass. ``init_model`` gives
+float64 parameters, which the gradient checks use; training runs float32
+copies of them, and ``load_model`` returns the float32 a checkpoint stores.
 """
 
 import math
@@ -144,7 +151,7 @@ def _dilated_conv(x, w, b, dilation: int):
     num_frames = x.shape[0]
     kernel = w.shape[2]
     radius = dilation * (kernel - 1) // 2
-    padded = np.zeros((num_frames + 2 * radius, x.shape[1]))
+    padded = np.zeros((num_frames + 2 * radius, x.shape[1]), dtype=x.dtype)
     padded[radius : radius + num_frames] = x
     out = np.broadcast_to(b, (num_frames, w.shape[0])).copy()
     for j in range(kernel):
@@ -156,7 +163,7 @@ def _dilated_conv_backward(dy, x, w, dilation: int):
     num_frames = x.shape[0]
     kernel = w.shape[2]
     radius = dilation * (kernel - 1) // 2
-    padded = np.zeros((num_frames + 2 * radius, x.shape[1]))
+    padded = np.zeros((num_frames + 2 * radius, x.shape[1]), dtype=x.dtype)
     padded[radius : radius + num_frames] = x
     dw = np.empty_like(w)
     dpadded = np.zeros_like(padded)
@@ -200,8 +207,10 @@ def _stack_backward(params, prefix: str, cache, dh, grads):
     return dh  # at the projection's output; the stack's input gradient is dh @ proj.w
 
 
-def _check_input(config: ModelConfig, features) -> np.ndarray:
-    features = np.asarray(features, dtype=np.float64)
+def _check_input(model: ModelState, features) -> np.ndarray:
+    """The features as a (T, input_dim) array in the dtype of the model's parameters."""
+    config = model.config
+    features = np.asarray(features, dtype=model.params["s0.cls.w"].dtype)
     if features.ndim != 2 or features.shape[0] < 1:
         raise ValueError("features must be a (T, D) array with T >= 1")
     if features.shape[1] != config.input_dim:
@@ -255,14 +264,14 @@ def _backward(model: ModelState, stage_caches, dprobs_list):
 
 def forward(model: ModelState, features) -> StageOutputs:
     """Pure forward pass; identical inputs always give identical outputs."""
-    features = _check_input(model.config, features)
+    features = _check_input(model, features)
     probs_list, penultimate, _ = _forward(model, features)
     return StageOutputs(probs=probs_list, penultimate=penultimate)
 
 
 def _summed_loss(model, features, target, mask, timestamps, weights):
     """One forward pass, the loss summed over its stages, per-stage dprobs, caches."""
-    features = _check_input(model.config, features)
+    features = _check_input(model, features)
     probs_list, penultimate, stage_caches = _forward(model, features)
     if callable(target):
         target = target(StageOutputs(probs=probs_list, penultimate=penultimate))
@@ -273,7 +282,8 @@ def _summed_loss(model, features, target, mask, timestamps, weights):
         if not math.isfinite(value):
             raise FloatingPointError(f"non-finite loss at stage {stage}")
         total += value
-        dprobs_list.append(dprobs)
+        # the loss works in float64; hand the backward pass the network's dtype
+        dprobs_list.append(dprobs.astype(probs.dtype, copy=False))
     return total, dprobs_list, stage_caches
 
 
@@ -366,7 +376,10 @@ def save_model(model: ModelState, path) -> None:
 
 
 def load_model(path) -> ModelState:
-    """Read a ``save_model`` checkpoint; parameters come back as float64.
+    """Read a ``save_model`` checkpoint; parameters come back as the float32 it stores.
+
+    The arrays are writable copies, bit-equal to the file, so the model runs
+    its forward pass in float32 and saving it again writes the same bytes.
 
     Refuses a file with another magic (an older format included), a short
     header or payload, or any size other than the one its config implies.
@@ -406,7 +419,7 @@ def load_model(path) -> ModelState:
         params[key] = (
             np.frombuffer(raw, dtype="<f4", count=size, offset=offset)
             .reshape(shape)
-            .astype(np.float64)
+            .astype(np.float32)
         )
         offset = end
     if len(raw) != offset:

@@ -12,7 +12,10 @@ uniform     dense labels from midpoint boundaries, fixed before training.
 The smoothing term always applies; the confidence term applies whenever
 timestamps are available. One optimizer step is taken per batch of videos,
 with per-video gradients summed in batch order, so a run is a pure function
-of the data, the configs, and the seed.
+of the data, the configs, and the seed. The model's master weights are
+float64; each batch runs its passes on a float32 copy of them, over the
+features converted to float32 once, and its gradients are widened and summed
+in float64 for the Adam step.
 """
 
 import math
@@ -152,7 +155,7 @@ def train(
     evaluated after each epoch. ``on_epoch(epoch, model, entry)`` runs after
     each epoch when given.
     """
-    videos = [(np.asarray(f, dtype=np.float64), lab) for f, lab in dataset]
+    videos = [(np.asarray(f, dtype=np.float32), lab) for f, lab in dataset]
     if annotations is None:
         annotations = [None] * len(videos)
     if len(annotations) != len(videos):
@@ -195,7 +198,11 @@ def train(
         order = shuffle_rng.permutation(len(videos))
         epoch_losses = []
         for batch in _chunks(order, config.batch_size):
-            batch_grads = None
+            # float32 compute copy of the float64 master weights
+            compute = net.ModelState(
+                model.config, {k: p.astype(np.float32) for k, p in model.params.items()}
+            )
+            batch_grads = {k: np.zeros_like(p) for k, p in model.params.items()}
             for vi in batch:
                 feats, _ = videos[vi]
                 ts = annotations[vi]
@@ -206,18 +213,15 @@ def train(
                     target, mask = fixed[vi]
                 try:
                     value, grads = net.loss_and_grad(
-                        model, feats, target, mask, ts, config.weights
+                        compute, feats, target, mask, ts, config.weights
                     )
                 except FloatingPointError as err:
                     raise FloatingPointError(
                         f"training diverged at epoch {epoch}, video {vi}: {err}"
                     ) from None
                 epoch_losses.append(value)
-                if batch_grads is None:
-                    batch_grads = grads
-                else:
-                    for key in batch_grads:
-                        batch_grads[key] += grads[key]
+                for key in batch_grads:
+                    batch_grads[key] += grads[key]  # widened to float64
             net.adam_step(model, adam, batch_grads, config.lr)
         entry = EpochLog(epoch=epoch, mean_loss=float(np.mean(epoch_losses)))
         if val_data is not None:

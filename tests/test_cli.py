@@ -48,7 +48,7 @@ def _assert_trained_in_process(model_path, root, **train):
     got = net.load_model(model_path)
     assert got.config == model_config
     for key, value in want.params.items():
-        np.testing.assert_array_equal(got.params[key], value.astype(np.float32).astype(np.float64))
+        np.testing.assert_array_equal(got.params[key], value.astype(np.float32), strict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +295,23 @@ def test_corpus_without_npy_features_names_the_missing_file(tmp_path, capsys):
     path.rename(path.with_suffix(".tsf"))
     assert _run("annotate", "--data", root, "--split", "test", "--strategy", "center") == 1
     assert capsys.readouterr().err == f"error: {path}: feature file not found\n"
+
+
+@pytest.mark.parametrize("which", ["mapping", "labels", "timestamps", "bundle"])
+def test_non_utf8_text_file_is_named(tmp_path, capsys, which):
+    root = _synth(tmp_path / "corpus")
+    assert _run("annotate", "--data", root, "--strategy", "center") == 0
+    name = (root / "splits" / "train.bundle").read_text().split()[0]
+    path = {
+        "mapping": root / "mapping.txt",
+        "labels": root / "groundTruth" / f"{name}.txt",
+        "timestamps": root / "timestamps" / f"{name}.txt",
+        "bundle": root / "splits" / "train.bundle",
+    }[which]
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())
+    capsys.readouterr()
+    assert _run("annotate", "--data", root, "--strategy", "center") == 1
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text\n"
 
 
 def test_console_script_installed():

@@ -238,6 +238,68 @@ def test_nonfinite_loss_reports_stage():
 
 
 # ---------------------------------------------------------------------------
+# compute dtype
+
+def _with_dtype(model, dtype):
+    return net.ModelState(model.config, {k: v.astype(dtype) for k, v in model.params.items()})
+
+
+def _dtype_case():
+    model = net.init_model(_tiny_config(num_stages=2, layers_per_stage=3), seed=4)
+    feats = np.random.default_rng(4).standard_normal((40, 5))
+    ts = _ts([3, 20, 35], [0, 2, 1])
+    return model, feats, ts
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_network_computes_in_its_parameters_dtype(dtype, monkeypatch):
+    model, feats, ts = _dtype_case()
+    model = _with_dtype(model, dtype)
+    outputs = net.forward(model, feats)
+    assert {p.dtype for p in outputs.probs} == {np.dtype(dtype)}
+    assert outputs.penultimate.dtype == dtype
+    # the float64 loss's dprobs are cast back, so the backward pass is not
+    # promoted; the gradient dicts alone would not show it, as += casts back
+    seen = []
+    real_softmax, real_conv = net._softmax_backward, net._dilated_conv_backward
+
+    def softmax_spy(*args):
+        out = real_softmax(*args)
+        seen.append(out.dtype)
+        return out
+
+    def conv_spy(*args):
+        out = real_conv(*args)
+        seen.extend(a.dtype for a in out)  # dw, db, dx
+        return out
+
+    monkeypatch.setattr(net, "_softmax_backward", softmax_spy)
+    monkeypatch.setattr(net, "_dilated_conv_backward", conv_spy)
+    value, grads = net.loss_and_grad(
+        model, feats, lambda out: np.argmax(out.probs[-1], axis=1), None, ts
+    )
+    assert isinstance(value, float)
+    assert {g.dtype for g in grads.values()} == {np.dtype(dtype)}
+    # one softmax per stage; three stacks of three layers, three arrays each
+    assert len(seen) == 2 + 9 * 3 and set(seen) == {np.dtype(dtype)}
+
+
+def test_float32_gradients_agree_with_float64():
+    # the same float32-representable weights, run once in each precision:
+    # every gradient within 1e-4 of its parameter's largest float64 entry
+    model, feats, ts = _dtype_case()
+    single = _with_dtype(model, np.float32)
+    double = _with_dtype(single, np.float64)
+    target = np.random.default_rng(5).integers(0, 3, size=40)
+    value32, grads32 = net.loss_and_grad(single, feats, target, None, ts)
+    value64, grads64 = net.loss_and_grad(double, feats, target, None, ts)
+    assert value32 == pytest.approx(value64, rel=1e-5)
+    for key, want in grads64.items():
+        scale = max(float(np.abs(want).max()), 1e-12)
+        assert float(np.abs(grads32[key] - want).max()) <= 1e-4 * scale, key
+
+
+# ---------------------------------------------------------------------------
 # optimizer
 
 def test_adam_zero_grad_keeps_params():
@@ -314,6 +376,23 @@ def test_checkpoint_roundtrip(tmp_path):
     path2 = tmp_path / "model2.tsm"
     net.save_model(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_load_model_returns_the_stored_float32(tmp_path):
+    config = _tiny_config(num_stages=2, layers_per_stage=2)
+    path = tmp_path / "m.tsm"
+    net.save_model(net.init_model(config, seed=2), path)
+    raw = path.read_bytes()
+    loaded = net.load_model(path)
+    offset = 36
+    for key, shape in net.param_shapes(config).items():
+        param = loaded.params[key]
+        stored = np.frombuffer(raw, dtype="<f4", count=param.size, offset=offset)
+        assert param.dtype == np.float32 and param.shape == shape
+        assert param.flags.writeable
+        assert param.tobytes() == stored.tobytes()
+        offset += 4 * param.size
+    assert offset == len(raw)
 
 
 def test_param_shapes_order_is_the_checkpoint_layout():

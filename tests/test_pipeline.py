@@ -100,6 +100,26 @@ def test_warmup_equal_to_epochs_is_naive():
     assert [e.mean_loss for e in logs_a] == [e.mean_loss for e in logs_b]
 
 
+def test_training_steps_run_in_float32_on_float64_master_weights(monkeypatch):
+    pairs = _corpus(noise=0.2, videos=3, seed=3)
+    annotations = _annotate(pairs, seed=1)
+    seen = []
+    real = net.loss_and_grad
+
+    def spy(model, features, *args):
+        seen.append({p.dtype for p in model.params.values()})
+        return real(model, features, *args)
+
+    monkeypatch.setattr(net, "loss_and_grad", spy)
+    config = pipeline.TrainConfig(
+        epochs=3, warmup_epochs=1, batch_size=2, supervision="timestamps", seed=2
+    )
+    model, _ = pipeline.train(pairs, annotations, config, _model_config(6, 3))
+    assert len(seen) == 3 * len(pairs)
+    assert all(dtypes == {np.dtype(np.float32)} for dtypes in seen)
+    assert {p.dtype for p in model.params.values()} == {np.dtype(np.float64)}
+
+
 def test_uniform_pseudo_labels_fixed_before_training():
     # evenly spaced timestamps at true centers of equal segments reproduce truth
     labels = np.repeat(np.array([0, 1, 2]), 10)
