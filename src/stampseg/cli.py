@@ -24,17 +24,18 @@ def cmd_synth(args) -> int:
         noise=args.noise,
         segment_range=(args.segments[0], args.segments[1]),
     )
+    frac, count = args.test_frac, spec.videos
+    if not (0 < frac < 1 and 0 < round(frac * count) < count):
+        raise ValueError(
+            f"--test-frac {frac} must lie in (0, 1) and leave no empty split for {count} videos"
+        )
+    test_count = round(frac * count)
     pairs = data.generate_synthetic(spec, seed=args.seed)
     vocab = data.ActionVocab(tuple(f"action_{c}" for c in range(args.classes)))
-    names = [f"video_{i:04d}" for i in range(len(pairs))]
+    names = [f"video_{i:04d}" for i in range(count)]
     videos = [(n, f, l) for n, (f, l) in zip(names, pairs)]
-    test_count = int(round(args.test_frac * len(names)))
-    train_names = names[: len(names) - test_count]
-    test_names = names[len(names) - test_count :]
-    if not train_names or not test_names:
-        raise ValueError(
-            f"test fraction {args.test_frac} leaves an empty split for {len(names)} videos"
-        )
+    train_names = names[: count - test_count]
+    test_names = names[count - test_count :]
     data.write_corpus(args.out, vocab, videos, train_names, test_names)
     print(f"wrote {len(train_names)} train / {len(test_names)} test videos to {args.out}")
     return 0
@@ -184,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=20)
     p.add_argument("--noise", type=float, default=0.25)
     p.add_argument("--segments", type=int, nargs=2, default=(6, 12), metavar=("LO", "HI"))
-    p.add_argument("--test-frac", type=float, default=0.25)
+    p.add_argument("--test-frac", type=float, default=0.25,
+                   help="share of the videos in the test split, in (0, 1)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 

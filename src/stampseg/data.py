@@ -4,7 +4,8 @@ File formats
 ------------
 features    numpy ``.npy``, one (D, T) array per video (feature dimension by
             frame count), the MS-TCN layout real corpora ship; written as
-            float32, read from any real dtype (``load_features`` lists refusals).
+            float32, read from any real dtype into float32, the network's
+            dtype (``load_features`` lists refusals).
 labels      text, one action name per line; line t holds the label of frame t.
 vocabulary  text, lines ``<index> <name>`` covering indices 0..C-1 exactly once.
 timestamps  text, lines ``<frame> <name>`` with strictly ascending frame indices.
@@ -148,13 +149,18 @@ def write_vocab(vocab: ActionVocab, path) -> None:
 # features
 
 def load_features(path) -> np.ndarray:
-    """Read a dimension-major (D, T) ``.npy`` file into a C-contiguous float64 (T, D) array.
+    """Read a dimension-major (D, T) ``.npy`` file into a C-contiguous float32 (T, D) array.
+
+    float32 is the network's dtype, so nothing converts the frames again. A
+    float32 file in Fortran order (what ``write_features`` writes) is returned
+    without a copy; any other file is copied or rounded to float32 once.
 
     A ValueError naming the file refuses anything but a ``.npy`` file with a
     real-number dtype, a non-empty 2-D shape and a payload that fills the rest
-    of the file exactly; a non-finite value is reported by frame and dimension.
-    The header is checked first, so a header that claims more data than the
-    file holds allocates nothing.
+    of the file exactly; a non-finite value, or a finite one outside the
+    float32 range, is reported by frame and dimension. The header is checked
+    first, so a header that claims more data than the file holds allocates
+    nothing.
     """
     fmt = np.lib.format
     with open(path, "rb") as fh:
@@ -184,11 +190,13 @@ def load_features(path) -> np.ndarray:
             raise ValueError(f"{path}: {have - need} unexpected trailing bytes")
         arr = np.fromfile(fh, dtype=dtype, count=count)
     arr = arr.reshape(shape, order="F" if fortran_order else "C")
-    frames = np.ascontiguousarray(arr.T, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        frames = np.ascontiguousarray(arr.T, dtype=np.float32)
     bad = ~np.isfinite(frames)
     if bad.any():
         t, d = np.argwhere(bad)[0]
-        raise ValueError(f"{path}: non-finite value at frame {t}, dim {d}")
+        what = "value outside the float32 range" if np.isfinite(arr[d, t]) else "non-finite value"
+        raise ValueError(f"{path}: {what} at frame {t}, dim {d}")
     return frames
 
 
@@ -196,16 +204,21 @@ def write_features(frames: np.ndarray, path) -> None:
     """Write (T, D) frames as the (D, T) float32 ``.npy`` file ``load_features`` reads.
 
     The array is stored in Fortran order, so its bytes are frame-major and
-    neither side transposes. Saving through a file handle keeps ``np.save``
+    neither side transposes. The frames are narrowed to float32 before the
+    finiteness check, so a value outside the float32 range is refused too,
+    before the file is opened. Saving through a file handle keeps ``np.save``
     from appending ``.npy`` to ``path``.
     """
-    frames = np.asarray(frames, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        frames = np.ascontiguousarray(frames, dtype="<f4")
     if frames.ndim != 2 or frames.shape[0] < 1 or frames.shape[1] < 1:
         raise ValueError("features must be a (T, D) array with T, D >= 1")
     if not np.isfinite(frames).all():
-        raise ValueError("refusing to write non-finite features")
+        raise ValueError(
+            "refusing to write non-finite features or values outside the float32 range"
+        )
     with open(path, "wb") as fh:
-        np.save(fh, frames.T.astype("<f4"))
+        np.save(fh, frames.T)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,13 @@ keyed by a stable naming scheme (see ``param_shapes``), which also fixes the
 serialization order of checkpoints.
 
 The network computes in the dtype of its parameters: the input features are
-cast to it, and the forward activations, the backward pass and the gradients
-stay in it. The loss terms work in float64 on the (T, C) probabilities, and
-their gradients are cast back before the backward pass. ``init_model`` gives
-float64 parameters, which the gradient checks use; training runs float32
-copies of them, and ``load_model`` returns the float32 a checkpoint stores.
+cast to it (a no-op for the float32 frames ``data.load_features`` returns and
+a float32 model), and the forward activations, the backward pass and the
+gradients stay in it. The loss terms work in float64 on the (T, C)
+probabilities, and their gradients are cast back before the backward pass.
+``init_model`` gives float64 parameters, which the gradient checks use and
+which ``pipeline.train`` keeps as its optimiser's master weights; every model
+that training hands out, and every model ``load_model`` reads, is float32.
 """
 
 import math

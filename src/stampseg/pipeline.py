@@ -12,10 +12,11 @@ uniform     dense labels from midpoint boundaries, fixed before training.
 The smoothing term always applies; the confidence term applies whenever
 timestamps are available. One optimizer step is taken per batch of videos,
 with per-video gradients summed in batch order, so a run is a pure function
-of the data, the configs, and the seed. The model's master weights are
-float64; each batch runs its passes on a float32 copy of them, over the
-features converted to float32 once, and its gradients are widened and summed
-in float64 for the Adam step.
+of the data, the configs, and the seed. Features and models are float32
+wherever a caller sees them. Float64 lives only in the training loop's
+optimiser (master weights and Adam moments), which sums each batch's
+gradients in float64, in batch order, and refreshes the float32 model after
+every Adam step.
 """
 
 import math
@@ -134,6 +135,11 @@ def _check_video(where: str, feats, labels, input_dim: int) -> None:
         raise ValueError(f"{where}: {len(labels)} labels for {shape[0]} frames")
 
 
+def _float32(m: net.ModelState) -> net.ModelState:
+    """A float32 copy of the float64 master weights: the model every caller sees."""
+    return net.ModelState(m.config, {k: p.astype(np.float32) for k, p in m.params.items()})
+
+
 def _chunks(order, size):
     for i in range(0, len(order), size):
         yield order[i : i + size]
@@ -147,15 +153,20 @@ def train(
     val_data=None,
     on_epoch=None,
 ) -> tuple[net.ModelState, list[EpochLog]]:
-    """Train a fresh model; returns it with one log entry per epoch.
+    """Train a fresh model; returns it, float32, with one log entry per epoch.
 
-    ``dataset`` is a sequence of (features, labels-or-None) pairs and
-    ``annotations`` a parallel sequence of timestamp sets (or None per video,
-    or None entirely). ``val_data`` is an optional (features, labels) list
-    evaluated after each epoch. ``on_epoch(epoch, model, entry)`` runs after
-    each epoch when given.
+    ``dataset`` is a non-empty sequence of (features, labels-or-None) pairs
+    and ``annotations`` a parallel sequence of timestamp sets (or None per
+    video, or None entirely). Float32 features are used as they are; others
+    are converted to float32 once. ``val_data`` is an optional (features,
+    labels) list evaluated after each epoch. ``on_epoch(epoch, model, entry)``
+    runs after each epoch when given. Validation, ``on_epoch`` and the return
+    value all see the float32 model that ``net.save_model`` writes bit for
+    bit; the float64 master weights and Adam moments never leave this loop.
     """
     videos = [(np.asarray(f, dtype=np.float32), lab) for f, lab in dataset]
+    if not videos:
+        raise ValueError("dataset is empty")
     if annotations is None:
         annotations = [None] * len(videos)
     if len(annotations) != len(videos):
@@ -190,19 +201,16 @@ def train(
         else:
             fixed.append((_sparse_target(ts, num_frames), ts.frames))
 
-    model = net.init_model(model_config, config.seed)
-    adam = net.AdamState.zeros(model.params)
+    master = net.init_model(model_config, config.seed)
+    adam = net.AdamState.zeros(master.params)
+    model = _float32(master)
     shuffle_rng = np.random.default_rng([config.seed, 1])
     logs: list[EpochLog] = []
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(len(videos))
         epoch_losses = []
         for batch in _chunks(order, config.batch_size):
-            # float32 compute copy of the float64 master weights
-            compute = net.ModelState(
-                model.config, {k: p.astype(np.float32) for k, p in model.params.items()}
-            )
-            batch_grads = {k: np.zeros_like(p) for k, p in model.params.items()}
+            batch_grads = {k: np.zeros_like(p) for k, p in master.params.items()}
             for vi in batch:
                 feats, _ = videos[vi]
                 ts = annotations[vi]
@@ -213,7 +221,7 @@ def train(
                     target, mask = fixed[vi]
                 try:
                     value, grads = net.loss_and_grad(
-                        compute, feats, target, mask, ts, config.weights
+                        model, feats, target, mask, ts, config.weights
                     )
                 except FloatingPointError as err:
                     raise FloatingPointError(
@@ -222,7 +230,8 @@ def train(
                 epoch_losses.append(value)
                 for key in batch_grads:
                     batch_grads[key] += grads[key]  # widened to float64
-            net.adam_step(model, adam, batch_grads, config.lr)
+            net.adam_step(master, adam, batch_grads, config.lr)
+            model = _float32(master)
         entry = EpochLog(epoch=epoch, mean_loss=float(np.mean(epoch_losses)))
         if val_data is not None:
             entry.report = evaluate(model, val_data)

@@ -80,6 +80,14 @@ def test_synth_rejects_degenerate_settings(tmp_path, capsys):
     assert "empty split" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("frac", [1.5, 1.0, -0.5, "nan"])
+def test_synth_refuses_test_frac_outside_unit_interval(tmp_path, capsys, frac):
+    root = tmp_path / "corpus"
+    assert _run("synth", "--out", root, "--videos", 10, "--test-frac", frac) == 1
+    assert f"--test-frac {float(frac)} must lie in (0, 1)" in capsys.readouterr().err
+    assert not root.exists()
+
+
 # ---------------------------------------------------------------------------
 # annotate
 

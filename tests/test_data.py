@@ -72,7 +72,7 @@ def test_feature_roundtrip(tmp_path):
     assert np.load(path).shape == (5, 17)
     loaded = data.load_features(path)
     assert loaded.shape == (17, 5)
-    assert loaded.dtype == np.float64
+    assert loaded.dtype == np.float32
     np.testing.assert_allclose(loaded, frames, atol=1e-6)
 
 
@@ -118,9 +118,68 @@ def test_feature_npy_transposed(tmp_path):
     written = data.load_features(tmp_path / "written.npy")
     for frames in (loaded, written):
         assert frames.shape == (30, 6)
-        assert frames.dtype == np.float64
+        assert frames.dtype == np.float32
         assert frames.flags.c_contiguous
-        np.testing.assert_array_equal(frames, arr.T.astype(np.float64))
+        np.testing.assert_array_equal(frames, arr.T)
+
+
+@pytest.mark.parametrize(
+    "dtype, fortran",
+    [("<f4", False), ("<f4", True), (">f4", False), ("<f8", False), ("<f8", True),
+     ("<f2", False), ("<i8", False), ("<i2", True), ("u1", False)],
+)
+def test_feature_load_returns_float32(tmp_path, dtype, fortran):
+    rng = np.random.default_rng(2)
+    arr = (rng.standard_normal((4, 9)) * 50).astype(dtype)  # (D, T) on disk
+    if fortran:
+        arr = np.asfortranarray(arr)
+    path = tmp_path / "x.npy"
+    np.save(path, arr)
+    frames = data.load_features(path)
+    assert frames.dtype == np.float32
+    assert frames.flags.c_contiguous
+    # rounded once, as the network would round the values itself
+    np.testing.assert_array_equal(frames, arr.T.astype(np.float32), strict=True)
+
+
+def test_feature_fortran_float32_loads_without_a_copy(tmp_path, monkeypatch):
+    read = []
+    fromfile = np.fromfile
+
+    def spy(*args, **kwargs):
+        read.append(fromfile(*args, **kwargs))
+        return read[-1]
+
+    monkeypatch.setattr(np, "fromfile", spy)
+    frames = np.random.default_rng(3).standard_normal((12, 5))
+    data.write_features(frames, tmp_path / "f.npy")
+    np.save(tmp_path / "c.npy", np.ascontiguousarray(frames.T, dtype=np.float32))
+    as_written = data.load_features(tmp_path / "f.npy")
+    c_order = data.load_features(tmp_path / "c.npy")
+    np.testing.assert_array_equal(as_written, c_order)
+    # the file's frame-major bytes are the array; a C-ordered file is transposed once
+    assert np.shares_memory(as_written, read[0])
+    assert not np.shares_memory(c_order, read[1])
+
+
+@pytest.mark.parametrize("value", [1e300, -1e39])
+def test_feature_float32_overflow_located(tmp_path, value):
+    arr = np.ones((2, 3))  # float64 (D, T) on disk
+    arr[1, 2] = value
+    path = tmp_path / "x.npy"
+    np.save(path, arr)
+    with _refused(path, "value outside the float32 range at frame 2, dim 1$"):
+        data.load_features(path)
+
+
+@pytest.mark.parametrize("value", [1e300, -1e39, np.nan, np.inf])
+def test_write_features_refuses_what_it_cannot_store(tmp_path, value):
+    frames = np.ones((3, 2))
+    frames[2, 1] = value
+    path = tmp_path / "x.npy"
+    with pytest.raises(ValueError, match="non-finite features or values outside the float32"):
+        data.write_features(frames, path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("shape", [(5, 0), (0, 7)])

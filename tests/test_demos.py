@@ -1,4 +1,4 @@
-"""Every demo script runs to completion against the current API."""
+"""Every demo script runs to completion against the current API, with warnings as errors."""
 
 import os
 import subprocess
@@ -20,6 +20,7 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, TMPDIR=str(tmp_path))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True
+        [sys.executable, "-W", "error", str(demo)],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr

@@ -100,24 +100,99 @@ def test_warmup_equal_to_epochs_is_naive():
     assert [e.mean_loss for e in logs_a] == [e.mean_loss for e in logs_b]
 
 
+def _dtypes(arrays):
+    return {a.dtype for a in arrays.values()}
+
+
 def test_training_steps_run_in_float32_on_float64_master_weights(monkeypatch):
     pairs = _corpus(noise=0.2, videos=3, seed=3)
     annotations = _annotate(pairs, seed=1)
-    seen = []
-    real = net.loss_and_grad
+    seen, stepped = [], []
+    real, real_step = net.loss_and_grad, net.adam_step
 
     def spy(model, features, *args):
-        seen.append({p.dtype for p in model.params.values()})
+        seen.append(_dtypes(model.params))
         return real(model, features, *args)
 
+    def step_spy(model, adam, grads, lr):
+        stepped.append((_dtypes(model.params), _dtypes(grads)))
+        return real_step(model, adam, grads, lr)
+
     monkeypatch.setattr(net, "loss_and_grad", spy)
+    monkeypatch.setattr(net, "adam_step", step_spy)
     config = pipeline.TrainConfig(
         epochs=3, warmup_epochs=1, batch_size=2, supervision="timestamps", seed=2
     )
     model, _ = pipeline.train(pairs, annotations, config, _model_config(6, 3))
     assert len(seen) == 3 * len(pairs)
     assert all(dtypes == {np.dtype(np.float32)} for dtypes in seen)
-    assert {p.dtype for p in model.params.values()} == {np.dtype(np.float64)}
+    # the optimiser keeps float64 master weights and sums the gradients in float64
+    float64 = {np.dtype(np.float64)}
+    assert len(stepped) == 3 * 2
+    assert all(params == float64 and grads == float64 for params, grads in stepped)
+    assert _dtypes(model.params) == {np.dtype(np.float32)}
+
+
+def test_train_hands_out_one_float32_model_equal_to_its_checkpoint(monkeypatch, tmp_path):
+    pairs = _corpus(noise=0.2, videos=3, seed=4)
+    annotations = _annotate(pairs, seed=2)
+    validated, epochs = [], []
+    real_evaluate = pipeline.evaluate
+
+    def evaluate_spy(model, dataset):
+        validated.append(model)
+        return real_evaluate(model, dataset)
+
+    def on_epoch(epoch, model, entry):
+        epochs.append(model)
+        path = tmp_path / f"epoch{epoch}.bin"
+        net.save_model(model, path)
+        saved = net.load_model(path)
+        for key, value in model.params.items():
+            np.testing.assert_array_equal(saved.params[key], value, strict=True)
+
+    monkeypatch.setattr(pipeline, "evaluate", evaluate_spy)
+    config = pipeline.TrainConfig(
+        epochs=3, warmup_epochs=1, batch_size=2, supervision="timestamps", seed=2
+    )
+    model, logs = pipeline.train(
+        pairs, annotations, config, _model_config(6, 3), val_data=pairs, on_epoch=on_epoch
+    )
+    assert len(validated) == len(epochs) == 3
+    # validation and on_epoch see the same model, and train returns the last one
+    assert all(v is e for v, e in zip(validated, epochs))
+    assert epochs[-1] is model
+    assert all(_dtypes(m.params) == {np.dtype(np.float32)} for m in epochs)
+    # a reloaded checkpoint scores what validation reported
+    final = net.load_model(tmp_path / "epoch3.bin")
+    assert real_evaluate(final, pairs) == logs[-1].report
+
+
+def test_train_takes_float32_features_without_a_copy(monkeypatch):
+    pairs = [(f.astype(np.float32), lab) for f, lab in _corpus(noise=0.2, videos=3, seed=5)]
+    seen = []
+    real = net.loss_and_grad
+
+    def spy(model, features, *args):
+        seen.append(features)
+        return real(model, features, *args)
+
+    monkeypatch.setattr(net, "loss_and_grad", spy)
+    config = pipeline.TrainConfig(epochs=2, warmup_epochs=0, supervision="full", batch_size=2)
+    pipeline.train(pairs, None, config, _model_config(6, 3))
+    assert len(seen) == 2 * len(pairs)
+    assert all(any(f is feats for feats, _ in pairs) for f in seen)
+
+
+def test_train_refuses_empty_dataset(monkeypatch):
+    def untouched(*args, **kwargs):
+        raise AssertionError("trained on an empty dataset")
+
+    monkeypatch.setattr(net, "loss_and_grad", untouched)
+    config = pipeline.TrainConfig(epochs=1, warmup_epochs=0, supervision="full")
+    for annotations in (None, []):
+        with pytest.raises(ValueError, match="dataset is empty"):
+            pipeline.train([], annotations, config, _model_config(6, 3))
 
 
 def test_uniform_pseudo_labels_fixed_before_training():
