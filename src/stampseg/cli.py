@@ -42,15 +42,22 @@ def cmd_synth(args) -> int:
 
 
 def cmd_annotate(args) -> int:
+    strategy = args.strategy
+    fraction = None
+    if strategy.startswith("fraction:"):
+        try:
+            fraction = float(strategy.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(
+                f"--strategy {strategy}: expected fraction:<p> with p a number"
+            ) from None
     vocab, records = data.load_corpus(args.data, split=args.split)
     out_dir = Path(args.data) / "timestamps"
     out_dir.mkdir(exist_ok=True)
-    strategy = args.strategy
     for rec in records:
         if rec.labels is None:
             raise ValueError(f"video {rec.name!r} has no ground-truth labels to sample from")
-        if strategy.startswith("fraction:"):
-            fraction = float(strategy.split(":", 1)[1])
+        if fraction is not None:
             ts = data.sample_timestamps_fraction(rec.labels, fraction, seed=args.seed)
         else:
             ts = data.sample_timestamps(rec.labels, strategy, seed=args.seed)
@@ -87,6 +94,9 @@ def _train_config(args) -> pipeline.TrainConfig:
 def cmd_train(args) -> int:
     if args.save_every < 0:
         raise ValueError(f"--save-every must be >= 0, got {args.save_every}")
+    for flag, path in (("--out", args.out), ("--log", args.log)):
+        if path is not None and not Path(path).parent.is_dir():
+            raise ValueError(f"{flag} {path}: directory {Path(path).parent} does not exist")
     vocab, records = data.load_corpus(args.data, split=args.split)
     dataset = [(r.features, r.labels) for r in records]
     annotations = [r.timestamps for r in records]
@@ -140,6 +150,10 @@ def cmd_eval(args) -> int:
             if not path.exists():
                 raise ValueError(f"{path}: missing prediction file")
             pred = data.load_labels(path, vocab)
+            if len(pred) != len(r.labels):
+                raise ValueError(
+                    f"{path}: {len(pred)} predicted frames, {len(r.labels)} true frames"
+                )
             preds.append(pred)
         rep = metrics.report(preds, gts)
     if args.header:

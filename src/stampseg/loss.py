@@ -162,7 +162,11 @@ def conf_loss_grad(probs, timestamps: TimestampSet) -> tuple[float, np.ndarray]:
 def total_loss_grad(
     probs, target, mask=None, timestamps=None, weights: LossWeights = LossWeights()
 ) -> tuple[float, np.ndarray]:
-    """cls + alpha * tmse + beta * conf; the conf term needs timestamps."""
+    """cls + alpha * tmse + beta * conf; the conf term needs timestamps.
+
+    ``probs`` is widened to float64 once, and every term reads that one copy.
+    """
+    probs = _check_probs(probs)
     value, grad = cls_loss_grad(probs, target, mask)
     if weights.alpha != 0.0:
         tv, tg = tmse_loss_grad(probs, weights.tau)

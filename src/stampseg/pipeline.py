@@ -81,32 +81,28 @@ def pseudo_boundaries(
     """The estimator's N-1 boundaries for one video's N timestamps (empty for one).
 
     ``fb`` and ``s2s_features`` split on the penultimate activations,
-    ``s2s_prob`` on the final-stage probabilities.
+    ``s2s_prob`` on the final-stage probabilities. Each method widens that
+    network output to float64 once per call, not once per pair of timestamps.
     """
     frames, classes = timestamps.frames, timestamps.labels
-    if method == "s2s_prob":
-        probs = outputs.probs[-1]
-        return np.array(
-            [
-                change.s2s_boundary_prob(
-                    probs, int(classes[i]), int(frames[i]), int(classes[i + 1]), int(frames[i + 1])
-                )
-                for i in range(len(frames) - 1)
-            ],
-            dtype=np.int64,
-        )
-    feats = outputs.penultimate
+    pairs = range(len(frames) - 1)
     if method == "fb":
+        feats = outputs.penultimate
         return change.fb_boundaries(feats, timestamps, feats.shape[0])
     if method == "s2s_features":
-        return np.array(
-            [
-                change.s2s_boundary(feats, int(frames[i]), int(frames[i + 1]))
-                for i in range(len(frames) - 1)
-            ],
-            dtype=np.int64,
-        )
-    raise ValueError(f"unknown boundary method {method!r}")
+        feats = np.asarray(outputs.penultimate, dtype=np.float64)
+        bounds = [change.s2s_boundary(feats, int(frames[i]), int(frames[i + 1])) for i in pairs]
+    elif method == "s2s_prob":
+        probs = np.asarray(outputs.probs[-1], dtype=np.float64)
+        bounds = [
+            change.s2s_boundary_prob(
+                probs, int(classes[i]), int(frames[i]), int(classes[i + 1]), int(frames[i + 1])
+            )
+            for i in pairs
+        ]
+    else:
+        raise ValueError(f"unknown boundary method {method!r}")
+    return np.array(bounds, dtype=np.int64)
 
 
 def pseudo_labels(
@@ -164,42 +160,42 @@ def train(
     value all see the float32 model that ``net.save_model`` writes bit for
     bit; the float64 master weights and Adam moments never leave this loop.
     """
-    videos = [(np.asarray(f, dtype=np.float32), lab) for f, lab in dataset]
-    if not videos:
+    dataset = list(dataset)
+    if not dataset:
         raise ValueError("dataset is empty")
     if annotations is None:
-        annotations = [None] * len(videos)
-    if len(annotations) != len(videos):
+        annotations = [None] * len(dataset)
+    if len(annotations) != len(dataset):
         raise ValueError("annotations and dataset differ in length")
     mode = config.supervision
     input_dim = model_config.input_dim
-    for i, (ts, (feats, labels)) in enumerate(zip(annotations, videos)):
+    # one (features, stamps, target, mask) per video; timestamps mode uses its target in warmup
+    videos = []
+    for i, ((feats, labels), ts) in enumerate(zip(dataset, annotations)):
+        feats = np.asarray(feats, dtype=np.float32)
         if mode in ("timestamps", "naive", "uniform") and ts is None:
             raise ValueError(f"supervision mode {mode!r} needs timestamps for video {i}")
         if mode == "full" and labels is None:
             raise ValueError(f"supervision mode 'full' needs frame labels for video {i}")
         _check_video(f"video {i}", feats, labels if mode == "full" else None, input_dim)
+        num_frames = feats.shape[0]
         if ts is not None:
             try:
-                ts.check_within(feats.shape[0])
+                ts.check_within(num_frames)
             except ValueError as err:
                 raise ValueError(f"video {i}: {err}") from None
+        if mode == "full":
+            target, mask = labels, None
+        elif mode == "uniform":
+            bounds = change.uniform_boundaries(ts, num_frames)
+            target, mask = change.labels_from_boundaries(ts, bounds, num_frames), None
+        else:
+            target, mask = _sparse_target(ts, num_frames), ts.frames
+        videos.append((feats, ts, target, mask))
     for i, (feats, labels) in enumerate(val_data or ()):
         if labels is None:
             raise ValueError(f"val_data video {i} has no frame labels")
         _check_video(f"val_data video {i}", feats, labels, input_dim)
-
-    # one fixed (target, mask) per video; timestamps mode uses it during warmup
-    fixed = []
-    for (feats, labels), ts in zip(videos, annotations):
-        num_frames = feats.shape[0]
-        if mode == "full":
-            fixed.append((labels, None))
-        elif mode == "uniform":
-            bounds = change.uniform_boundaries(ts, num_frames)
-            fixed.append((change.labels_from_boundaries(ts, bounds, num_frames), None))
-        else:
-            fixed.append((_sparse_target(ts, num_frames), ts.frames))
 
     master = net.init_model(model_config, config.seed)
     adam = net.AdamState.zeros(master.params)
@@ -212,13 +208,10 @@ def train(
         for batch in _chunks(order, config.batch_size):
             batch_grads = {k: np.zeros_like(p) for k, p in master.params.items()}
             for vi in batch:
-                feats, _ = videos[vi]
-                ts = annotations[vi]
+                feats, ts, target, mask = videos[vi]
                 if mode == "timestamps" and epoch > config.warmup_epochs:
                     target = lambda outputs: pseudo_labels(outputs, ts, config.boundary_method)
                     mask = None
-                else:
-                    target, mask = fixed[vi]
                 try:
                     value, grads = net.loss_and_grad(
                         model, feats, target, mask, ts, config.weights

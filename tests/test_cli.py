@@ -118,6 +118,15 @@ def test_annotate_random_deterministic(tmp_path):
     assert _tree_digest(Path(root) / "timestamps") == first
 
 
+def test_annotate_refuses_non_numeric_fraction(tmp_path, capsys):
+    root = _synth(tmp_path / "corpus")
+    assert _run("annotate", "--data", root, "--strategy", "fraction:abc") == 1
+    assert capsys.readouterr().err == (
+        "error: --strategy fraction:abc: expected fraction:<p> with p a number\n"
+    )
+    assert not (root / "timestamps").exists()
+
+
 # ---------------------------------------------------------------------------
 # train / eval
 
@@ -196,6 +205,25 @@ def test_train_save_every_refuses_negative(tmp_path, capsys):
     assert not model_path.exists()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--log"])
+def test_train_refuses_output_in_missing_directory(tmp_path, capsys, monkeypatch, flag):
+    root = _synth(tmp_path / "corpus")
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before checking the output paths")
+
+    monkeypatch.setattr(pipeline, "train", no_training)
+    paths = {"--out": tmp_path / "model.bin", "--log": tmp_path / "train.log"}
+    missing = paths[flag] = tmp_path / "nodir" / "file"
+    code = _run("train", "--data", root, "--out", paths["--out"], "--log", paths["--log"],
+                "--mode", "full", "--epochs", 1, "--warmup", 0, *TINY_NET)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {flag} {missing}: directory {missing.parent} does not exist\n"
+    )
+    assert not (tmp_path / "model.bin").exists()
+
+
 def test_eval_pred_directory(tmp_path, capsys):
     root = _synth(tmp_path / "corpus")
     pred_dir = tmp_path / "preds"
@@ -222,6 +250,24 @@ def test_eval_missing_prediction_file(tmp_path, capsys):
     pred_dir.mkdir()
     assert _run("eval", "--data", root, "--pred", pred_dir) == 1
     assert "missing prediction" in capsys.readouterr().err
+
+
+def test_eval_pred_names_the_file_of_wrong_length(tmp_path, capsys):
+    root = _synth(tmp_path / "corpus")
+    pred_dir = tmp_path / "preds"
+    pred_dir.mkdir()
+    vocab, records = data.load_corpus(root, split="test")
+    for rec in records:
+        data.write_labels(rec.labels, vocab, pred_dir / f"{rec.name}.txt")
+    rec = records[-1]
+    path = pred_dir / f"{rec.name}.txt"
+    data.write_labels(rec.labels[:-1], vocab, path)
+    capsys.readouterr()
+    assert _run("eval", "--data", root, "--pred", pred_dir) == 1
+    num = len(rec.labels)
+    assert capsys.readouterr().err == (
+        f"error: {path}: {num - 1} predicted frames, {num} true frames\n"
+    )
 
 
 # ---------------------------------------------------------------------------

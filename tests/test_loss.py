@@ -205,6 +205,28 @@ def test_total_empty_mask_zero_when_unweighted():
     assert not grad.any()
 
 
+def test_total_widens_probs_once_for_all_terms(monkeypatch):
+    rng = np.random.default_rng(9)
+    probs = _rand_probs(rng, 14, 3).astype(np.float32)
+    target = rng.integers(0, 3, size=14)
+    ts = _ts([2, 7, 12], [0, 1, 2])
+    want = loss.total_loss_grad(probs, target, None, ts)
+    seen = []
+    for name in ("cls_loss_grad", "tmse_loss_grad", "conf_loss_grad"):
+
+        def spy(p, *args, _original=getattr(loss, name)):
+            seen.append(p)
+            return _original(p, *args)
+
+        monkeypatch.setattr(loss, name, spy)
+    value, grad = loss.total_loss_grad(probs, target, None, ts)
+    assert value == want[0]
+    np.testing.assert_array_equal(grad, want[1])
+    assert len(seen) == 3
+    assert seen[0].dtype == np.float64
+    assert all(p is seen[0] for p in seen)
+
+
 def test_losses_nonnegative_random():
     rng = np.random.default_rng(8)
     for _ in range(20):

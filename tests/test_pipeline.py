@@ -300,6 +300,33 @@ def test_pseudo_labels_single_timestamp_whole_video():
     assert pipeline.pseudo_boundaries(outputs, ts, "fb").shape == (0,)
 
 
+@pytest.mark.parametrize(
+    "method, name", [("s2s_features", "s2s_boundary"), ("s2s_prob", "s2s_boundary_prob")]
+)
+def test_pairwise_methods_widen_the_network_output_once(monkeypatch, method, name):
+    # a trained model is float32, and so are its outputs
+    master = net.init_model(_model_config(6, 3), seed=0)
+    params = {k: p.astype(np.float32) for k, p in master.params.items()}
+    model = net.ModelState(master.config, params)
+    feats = np.random.default_rng(1).standard_normal((40, 6)).astype(np.float32)
+    outputs = net.forward(model, feats)
+    assert outputs.penultimate.dtype == outputs.probs[-1].dtype == np.float32
+    ts = data.TimestampSet(np.array([3, 12, 25, 36]), np.array([0, 1, 2, 0]))
+    want = pipeline.pseudo_boundaries(outputs, ts, method)
+    original = getattr(change, name)
+    seen = []
+
+    def spy(array, *args):
+        seen.append(array)
+        return original(array, *args)
+
+    monkeypatch.setattr(change, name, spy)
+    np.testing.assert_array_equal(pipeline.pseudo_boundaries(outputs, ts, method), want)
+    assert len(seen) == 3
+    assert seen[0].dtype == np.float64
+    assert all(array is seen[0] for array in seen)
+
+
 # ---------------------------------------------------------------------------
 # evaluation and logs
 
