@@ -52,15 +52,18 @@ def cmd_annotate(args) -> int:
                 f"--strategy {strategy}: expected fraction:<p> with p a number"
             ) from None
     vocab, records = data.load_corpus(args.data, split=args.split)
-    out_dir = Path(args.data) / "timestamps"
-    out_dir.mkdir(exist_ok=True)
+    # sample every video before the first write, so a refused run leaves nothing behind
+    stamps = []
     for rec in records:
         if rec.labels is None:
             raise ValueError(f"video {rec.name!r} has no ground-truth labels to sample from")
         if fraction is not None:
-            ts = data.sample_timestamps_fraction(rec.labels, fraction, seed=args.seed)
+            stamps.append(data.sample_timestamps_fraction(rec.labels, fraction, seed=args.seed))
         else:
-            ts = data.sample_timestamps(rec.labels, strategy, seed=args.seed)
+            stamps.append(data.sample_timestamps(rec.labels, strategy, seed=args.seed))
+    out_dir = Path(args.data) / "timestamps"
+    out_dir.mkdir(exist_ok=True)
+    for rec, ts in zip(records, stamps):
         data.write_timestamps(ts, vocab, out_dir / f"{rec.name}.txt")
     print(f"annotated {len(records)} videos under {out_dir}")
     return 0
@@ -132,6 +135,19 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_model_for(path, records) -> net.ModelState:
+    """The checkpoint at ``path``, refused by name if a video's feature width differs."""
+    model = net.load_model(path)
+    input_dim = model.config.input_dim
+    for rec in records:
+        if rec.features.shape[1] != input_dim:
+            raise ValueError(
+                f"{path}: model takes {input_dim}-dim features, video {rec.name!r} "
+                f"has {rec.features.shape[1]}"
+            )
+    return model
+
+
 def cmd_eval(args) -> int:
     vocab, records = data.load_corpus(args.data, split=args.split)
     if (args.model is None) == (args.pred is None):
@@ -140,7 +156,7 @@ def cmd_eval(args) -> int:
         raise ValueError("evaluation needs ground-truth labels for every video")
     gts = [r.labels for r in records]
     if args.model is not None:
-        model = net.load_model(args.model)
+        model = _load_model_for(args.model, records)
         dataset = [(r.features, r.labels) for r in records]
         rep = pipeline.evaluate(model, dataset)
     else:
@@ -164,18 +180,23 @@ def cmd_eval(args) -> int:
 
 def cmd_boundaries(args) -> int:
     vocab, records = data.load_corpus(args.data, split=args.split)
-    model = net.load_model(args.model)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for rec in records:
         if rec.timestamps is None:
             raise ValueError(f"video {rec.name!r} has no timestamps")
+    model = _load_model_for(args.model, records)
+    # every video's result before the first write, so a refused run leaves nothing behind
+    results = []
+    for rec in records:
         outputs = net.forward(model, rec.features)
         bounds = pipeline.pseudo_boundaries(outputs, rec.timestamps, args.boundary)
         labels = change.labels_from_boundaries(rec.timestamps, bounds, len(rec.features))
-        data.write_labels(labels, vocab, out_dir / f"{rec.name}.txt")
+        results.append((rec.name, labels, bounds))
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, labels, bounds in results:
+        data.write_labels(labels, vocab, out_dir / f"{name}.txt")
         sidecar = "".join(f"{i} {b}\n" for i, b in enumerate(bounds))
-        (out_dir / f"{rec.name}.bounds").write_text(sidecar, encoding="utf-8")
+        (out_dir / f"{name}.bounds").write_text(sidecar, encoding="utf-8")
     print(f"wrote pseudo-labels for {len(records)} videos to {out_dir}")
     return 0
 

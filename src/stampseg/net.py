@@ -7,7 +7,15 @@ classifier followed by a row-wise softmax. ``_stage_stacks`` is the one place
 that lays the stages out: the first stage runs one stack per first-stage
 kernel over the input features, and every later stage runs one stack over the
 previous stage's probabilities. All convolutions use zero "same" padding, so
-sequence length is preserved.
+sequence length is preserved. No padded copy is built: a tap adds only the
+frames it reads inside the video, and a tap wholly outside it is skipped,
+which equals the padded form up to BLAS rounding at the video's edges.
+
+``_forward`` runs the stages once, keeping by default the per-layer caches
+that the backward pass reads (about 38 kB per frame at paper size).
+``forward``, the inference pass, runs the same loop with ``keep=False``: no
+cache, the ReLU and residual sums in place, memory O(T x channels) plus the
+input, and outputs bit-equal to the cached pass's.
 
 Gradients are computed by explicit reverse-mode passes written against the
 forward code; there is no autodiff involved. Parameters live in a flat dict
@@ -149,15 +157,16 @@ def _softmax_backward(probs, dprobs):
 
 
 def _dilated_conv(x, w, b, dilation: int):
-    # x: (T, Cin), w: (Cout, Cin, k) -> (T, Cout)
+    # x: (T, Cin), w: (Cout, Cin, k) -> (T, Cout); tap j reads frame t + j * dilation - radius
     num_frames = x.shape[0]
     kernel = w.shape[2]
     radius = dilation * (kernel - 1) // 2
-    padded = np.zeros((num_frames + 2 * radius, x.shape[1]), dtype=x.dtype)
-    padded[radius : radius + num_frames] = x
     out = np.broadcast_to(b, (num_frames, w.shape[0])).copy()
     for j in range(kernel):
-        out += padded[j * dilation : j * dilation + num_frames] @ w[:, :, j].T
+        shift = j * dilation - radius
+        lo, hi = max(0, -shift), min(num_frames, num_frames - shift)
+        if lo < hi:  # frames outside the video are zeros, which add nothing
+            out[lo:hi] += x[lo + shift : hi + shift] @ w[:, :, j].T
     return out
 
 
@@ -179,17 +188,26 @@ def _dilated_conv_backward(dy, x, w, dilation: int):
 # ---------------------------------------------------------------------------
 # forward / backward
 
-def _stack_forward(params, prefix: str, x, layers: int):
+def _stack_forward(params, prefix: str, x, layers: int, keep: bool):
+    """The stack's output and, when ``keep``, the cache its backward pass reads.
+
+    Without ``keep`` no layer's activations outlive the next layer, so the
+    ReLU and the residual sum run in place; the arithmetic is the same.
+    """
     h = x @ params[f"{prefix}.proj.w"].T + params[f"{prefix}.proj.b"]
     layer_cache = []
     for layer in range(layers):
         dilation = 1 << layer
         z = _dilated_conv(h, params[f"{prefix}.l{layer}.dw"], params[f"{prefix}.l{layer}.db"], dilation)
-        r = np.maximum(z, 0.0)
-        u = r @ params[f"{prefix}.l{layer}.pw"].T + params[f"{prefix}.l{layer}.pb"]
-        layer_cache.append((h, z, r))
-        h = h + u
-    return h, {"x": x, "layers": layer_cache}
+        r = np.maximum(z, 0.0, out=None if keep else z)
+        u = r @ params[f"{prefix}.l{layer}.pw"].T
+        u += params[f"{prefix}.l{layer}.pb"]
+        if keep:
+            layer_cache.append((h, z, r))
+            h = h + u
+        else:
+            h += u
+    return h, ({"x": x, "layers": layer_cache} if keep else None)
 
 
 def _stack_backward(params, prefix: str, cache, dh, grads):
@@ -225,7 +243,12 @@ def _check_input(model: ModelState, features) -> np.ndarray:
     return features
 
 
-def _forward(model: ModelState, features):
+def _forward(model: ModelState, features, keep: bool = True):
+    """Every stage's probabilities, the penultimate activation, per-stage caches.
+
+    The caches are what ``_backward`` reads; with ``keep=False`` none is built
+    and the list comes back empty.
+    """
     config, params = model.config, model.params
     stage_caches = []
     probs_list = []
@@ -234,12 +257,13 @@ def _forward(model: ModelState, features):
         act = None
         branches = []
         for prefix, *_ in _stage_stacks(config, stage):
-            h, cache = _stack_forward(params, prefix, x, config.layers_per_stage)
+            h, cache = _stack_forward(params, prefix, x, config.layers_per_stage, keep)
             act = h if act is None else act + h
             branches.append(cache)
         x = softmax_rows(act @ params[f"s{stage}.cls.w"].T + params[f"s{stage}.cls.b"])
         probs_list.append(x)
-        stage_caches.append({"branches": branches, "act": act, "probs": x})
+        if keep:
+            stage_caches.append({"branches": branches, "act": act, "probs": x})
     return probs_list, act, stage_caches
 
 
@@ -265,9 +289,13 @@ def _backward(model: ModelState, stage_caches, dprobs_list):
 
 
 def forward(model: ModelState, features) -> StageOutputs:
-    """Pure forward pass; identical inputs always give identical outputs."""
+    """Pure forward pass; identical inputs always give identical outputs.
+
+    Keeps no backward cache: its memory is the input plus a few (T, channels)
+    activations, and its outputs are bit-equal to the training pass's.
+    """
     features = _check_input(model, features)
-    probs_list, penultimate, _ = _forward(model, features)
+    probs_list, penultimate, _ = _forward(model, features, keep=False)
     return StageOutputs(probs=probs_list, penultimate=penultimate)
 
 

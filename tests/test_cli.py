@@ -127,6 +127,27 @@ def test_annotate_refuses_non_numeric_fraction(tmp_path, capsys):
     assert not (root / "timestamps").exists()
 
 
+def _listing(root):
+    return sorted(str(p.relative_to(root)) for p in Path(root).rglob("*"))
+
+
+@pytest.mark.parametrize("case", ["bogus strategy", "video without labels"])
+def test_refused_annotate_leaves_nothing_behind(tmp_path, capsys, case):
+    root = _synth(tmp_path / "corpus")
+    strategy = "random"
+    if case == "bogus strategy":
+        strategy, message = "bogus", "unknown sampling strategy 'bogus'"
+    else:
+        # the last train video, so that the others could have been written first
+        last = (root / "splits" / "train.bundle").read_text().split()[-1]
+        (root / "groundTruth" / f"{last}.txt").unlink()
+        message = f"video '{last}' has no ground-truth labels to sample from"
+    before = _listing(tmp_path)
+    assert _run("annotate", "--data", root, "--strategy", strategy) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert _listing(tmp_path) == before
+
+
 # ---------------------------------------------------------------------------
 # train / eval
 
@@ -318,6 +339,45 @@ def test_boundaries_sidecar_keeps_repeated_class_boundaries(tmp_path):
     assert np.all(ts.frames[:-1] <= bounds) and np.all(bounds < ts.frames[1:])
     written = data.load_labels(out_dir / "v.txt", vocab)
     np.testing.assert_array_equal(written, change.labels_from_boundaries(ts, bounds, 30))
+
+
+def test_refused_boundaries_leaves_nothing_behind(tmp_path, capsys):
+    root = _synth(tmp_path / "corpus")
+    assert _run("annotate", "--data", root, "--strategy", "center") == 0
+    last = (root / "splits" / "train.bundle").read_text().split()[-1]
+    (root / "timestamps" / f"{last}.txt").unlink()
+    model_path = tmp_path / "model.bin"
+    config = net.ModelConfig(input_dim=6, num_classes=3, num_stages=1,
+                             layers_per_stage=2, channels=4)
+    net.save_model(net.init_model(config, seed=0), model_path)
+    before = _listing(tmp_path)
+    assert _run("boundaries", "--data", root, "--model", model_path,
+                "--out", tmp_path / "pseudo") == 1
+    assert capsys.readouterr().err == f"error: video '{last}' has no timestamps\n"
+    assert _listing(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", ["eval", "boundaries"])
+def test_model_of_other_feature_dimension_refused_by_name(tmp_path, capsys, monkeypatch, command):
+    root = _synth(tmp_path / "corpus", **{"--dim": 7})
+    assert _run("annotate", "--data", root, "--strategy", "center") == 0
+    model_path = tmp_path / "model.bin"
+    config = net.ModelConfig(input_dim=6, num_classes=3, num_stages=1,
+                             layers_per_stage=2, channels=4)
+    net.save_model(net.init_model(config, seed=0), model_path)
+    split = "test" if command == "eval" else "train"
+    first = (root / "splits" / f"{split}.bundle").read_text().split()[0]
+    forwards = []
+    monkeypatch.setattr(net, "forward", lambda *args: forwards.append(args))
+    argv = ["--data", root, "--model", model_path, "--split", split]
+    if command == "boundaries":
+        argv += ["--out", tmp_path / "pseudo"]
+    assert _run(command, *argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {model_path}: model takes 6-dim features, video '{first}' has 7\n"
+    )
+    assert forwards == []
+    assert not (tmp_path / "pseudo").exists()
 
 
 # ---------------------------------------------------------------------------

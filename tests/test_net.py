@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -125,6 +126,162 @@ def test_translation_consistency_interior():
     radius = 2  # dilation 1, kernel 3, one dilated conv per branch
     lo, hi = shift + radius, num_frames - radius
     np.testing.assert_allclose(y_shifted[lo:hi], y[lo - shift : hi - shift], atol=1e-10)
+
+
+def test_forward_without_cache_equals_cached_pass():
+    # forward keeps no layer cache and runs the ReLU and residual sums in
+    # place; every output must still be bit-equal to the training pass's
+    rng = np.random.default_rng(11)
+    for trial in range(24):
+        dtype = (np.float32, np.float64)[trial % 2]
+        kernels = rng.choice([1, 3, 5], size=3)
+        config = net.ModelConfig(
+            input_dim=int(rng.integers(1, 9)),
+            num_classes=int(rng.integers(2, 6)),
+            num_stages=int(rng.integers(1, 4)),
+            layers_per_stage=int(rng.integers(1, 8)),
+            channels=int(rng.integers(1, 17)),
+            first_stage_kernels=(int(kernels[0]), int(kernels[1])),
+            later_kernel=int(kernels[2]),
+        )
+        model = _with_dtype(net.init_model(config, seed=trial), dtype)
+        num_frames = 1 + trial // 2 if trial < 6 else int(rng.integers(1, 300))
+        feats = rng.standard_normal((num_frames, config.input_dim)).astype(dtype)
+        got = net.forward(model, feats)
+        probs, penultimate, caches = net._forward(model, feats)
+        assert len(caches) == config.num_stages
+        assert len(got.probs) == len(probs)
+        for a, b in zip(got.probs, probs):
+            assert a.dtype == dtype and np.array_equal(a, b), (trial, config, num_frames)
+        assert np.array_equal(got.penultimate, penultimate), (trial, config, num_frames)
+
+
+def test_forward_memory_is_input_plus_a_few_activations():
+    # 2 stages x 6 layers x 32 channels, D = 32, T = 4,000, float32; input
+    # plus outputs are 1.13 MiB. Measured tracemalloc peaks: forward 3.0 MiB,
+    # the cached pass 28.4 MiB (forward peaked at 28.9 MiB when it kept the
+    # cache), so inference memory no longer grows with layers x channels.
+    config = net.ModelConfig(
+        input_dim=32, num_classes=5, num_stages=2, layers_per_stage=6, channels=32
+    )
+    model = _with_dtype(net.init_model(config, seed=0), np.float32)
+    feats = np.random.default_rng(0).standard_normal((4000, 32)).astype(np.float32)
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    out, free_peak = peak(lambda: net.forward(model, feats))
+    _, cached_peak = peak(lambda: net._forward(model, feats))
+    io_bytes = feats.nbytes + out.penultimate.nbytes + sum(p.nbytes for p in out.probs)
+    assert free_peak < 4 * io_bytes
+    assert cached_peak > 5 * free_peak
+
+
+def test_forward_leaves_float32_features_unchanged():
+    # channels == input_dim, and _check_input hands the caller's own array to
+    # the stage loop, so an in-place op that aliased the input would show here
+    config = _tiny_config(num_stages=2, layers_per_stage=3, channels=5)
+    model = _with_dtype(net.init_model(config, seed=3), np.float32)
+    feats = np.random.default_rng(6).standard_normal((30, 5)).astype(np.float32)
+    assert net._check_input(model, feats) is feats
+    before = feats.copy()
+    net.forward(model, feats)
+    np.testing.assert_array_equal(feats, before)
+
+
+# ---------------------------------------------------------------------------
+# dilated convolution
+
+def _padded_conv(x, w, b, dilation):
+    """The conv on an explicit zero-padded copy of x, every tap over all T rows."""
+    num_frames, kernel = x.shape[0], w.shape[2]
+    radius = dilation * (kernel - 1) // 2
+    padded = np.zeros((num_frames + 2 * radius, x.shape[1]), dtype=x.dtype)
+    padded[radius : radius + num_frames] = x
+    out = np.broadcast_to(b, (num_frames, w.shape[0])).copy()
+    for j in range(kernel):
+        out += padded[j * dilation : j * dilation + num_frames] @ w[:, :, j].T
+    return out
+
+
+def _frame_loop_conv(x, w, b, dilation):
+    """out[t] = b + sum over taps j of w[:, :, j] @ x[t + j * dilation - radius], in-video taps only."""
+    num_frames, kernel = x.shape[0], w.shape[2]
+    radius = dilation * (kernel - 1) // 2
+    out = np.empty((num_frames, w.shape[0]))
+    for t in range(num_frames):
+        acc = b.copy()
+        for j in range(kernel):
+            src = t + j * dilation - radius
+            if 0 <= src < num_frames:
+                acc = acc + w[:, :, j] @ x[src]
+        out[t] = acc
+    return out
+
+
+def _conv_case(num_frames, kernel, dtype, channels=8, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((num_frames, channels)).astype(dtype)
+    w = rng.standard_normal((channels + 2, channels, kernel)).astype(dtype)
+    b = rng.standard_normal(channels + 2).astype(dtype)
+    return x, w, b
+
+
+# (T, kernel, dilation, channels) where every tap covers all frames or none:
+# T = 1, kernel 1, dilation >= T, and a 10-layer stack's last dilation on T = 300
+WHOLE_TAPS = [
+    (1, 1, 1, 8), (1, 3, 1, 8), (1, 5, 4, 8), (7, 3, 7, 8), (7, 5, 8, 8),
+    (50, 1, 1, 8), (50, 1, 16, 8), (300, 3, 512, 64), (300, 5, 512, 64),
+]
+# every off-centre tap covers only part of the video
+PARTIAL_TAPS = [
+    (num_frames, kernel, dilation, channels)
+    for num_frames, channels in ((2, 8), (37, 8), (300, 64))
+    for kernel in (3, 5)
+    for dilation in (1, 2, 8, 64, 256)
+    if dilation * (kernel - 1) // 2 < num_frames
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("num_frames,kernel,dilation,channels", WHOLE_TAPS)
+def test_dilated_conv_bit_equal_to_padded_when_taps_are_whole(
+    num_frames, kernel, dilation, channels, dtype
+):
+    # a skipped tap is one whose rows were all padding, which only added zeros
+    x, w, b = _conv_case(num_frames, kernel, dtype, channels)
+    got = net._dilated_conv(x, w, b, dilation)
+    assert got.dtype == dtype
+    assert np.array_equal(got, _padded_conv(x, w, b, dilation))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("num_frames,kernel,dilation,channels", PARTIAL_TAPS)
+def test_dilated_conv_partial_taps_match_padded(num_frames, kernel, dilation, channels, dtype):
+    # A partial tap is one GEMM over T - |shift| rows instead of T, and BLAS may
+    # pick another kernel for that row count, so edge rows can round differently
+    # from the padded form. With OpenBLAS 0.3.31 on an AVX-512 x86-64 CPU they
+    # did at 64 channels for T = 19..39, and in a paper-size forward pass at
+    # T = 530: equal up to rounding, not always bit-equal.
+    x, w, b = _conv_case(num_frames, kernel, dtype, channels)
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    got = net._dilated_conv(x, w, b, dilation)
+    assert got.dtype == dtype
+    np.testing.assert_allclose(got, _padded_conv(x, w, b, dilation), rtol=tol, atol=tol)
+
+
+@pytest.mark.parametrize("num_frames,kernel,dilation,channels", WHOLE_TAPS + PARTIAL_TAPS)
+def test_dilated_conv_matches_frame_loop_oracle(num_frames, kernel, dilation, channels):
+    x, w, b = _conv_case(num_frames, kernel, np.float64, channels, seed=1)
+    np.testing.assert_allclose(
+        net._dilated_conv(x, w, b, dilation), _frame_loop_conv(x, w, b, dilation),
+        rtol=1e-12, atol=1e-12,
+    )
 
 
 def test_softmax_argmax_invariant_under_temperature():
