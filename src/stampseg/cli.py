@@ -100,13 +100,13 @@ def cmd_train(args) -> int:
     for flag, path in (("--out", args.out), ("--log", args.log)):
         if path is not None and not Path(path).parent.is_dir():
             raise ValueError(f"{flag} {path}: directory {Path(path).parent} does not exist")
+    config = _train_config(args)
     vocab, records = data.load_corpus(args.data, split=args.split)
     dataset = [(r.features, r.labels) for r in records]
     annotations = [r.timestamps for r in records]
     if args.mode != "full" and any(ts is None for ts in annotations):
         missing = [r.name for r in records if r.timestamps is None]
         raise ValueError(f"mode {args.mode!r} needs timestamps; missing for {missing[:3]}")
-    config = _train_config(args)
     model_config = _model_config(args, records[0].features.shape[1], vocab.num_classes)
 
     val_data = None
@@ -149,9 +149,9 @@ def _load_model_for(path, records) -> net.ModelState:
 
 
 def cmd_eval(args) -> int:
-    vocab, records = data.load_corpus(args.data, split=args.split)
     if (args.model is None) == (args.pred is None):
         raise ValueError("pass exactly one of --model or --pred")
+    vocab, records = data.load_corpus(args.data, split=args.split)
     if any(r.labels is None for r in records):
         raise ValueError("evaluation needs ground-truth labels for every video")
     gts = [r.labels for r in records]

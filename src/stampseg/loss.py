@@ -51,6 +51,12 @@ def _dlog(values: np.ndarray) -> np.ndarray:
     return grad
 
 
+def _check_classes(kind: str, classes: np.ndarray, num_classes: int) -> None:
+    """Refuse a non-empty array of class indices with one outside [0, num_classes)."""
+    if classes.min() < 0 or classes.max() >= num_classes:
+        raise ValueError(f"{kind} class index out of range for {num_classes} classes")
+
+
 def _mask_indices(mask, num_frames: int) -> np.ndarray:
     if mask is None:
         return np.arange(num_frames)
@@ -79,8 +85,7 @@ def cls_loss_grad(probs, target, mask=None) -> tuple[float, np.ndarray]:
     if len(idx) == 0:
         return 0.0, grad
     picked = target[idx]
-    if picked.min() < 0 or picked.max() >= num_classes:
-        raise ValueError(f"target class index out of range for {num_classes} classes")
+    _check_classes("target", picked, num_classes)
     chosen = probs[idx, picked]
     value = float(-_safe_log(chosen).sum() / len(idx))
     grad[idx, picked] = -_dlog(chosen) / len(idx)
@@ -131,8 +136,7 @@ def conf_loss_grad(probs, timestamps: TimestampSet) -> tuple[float, np.ndarray]:
     num_frames, num_classes = probs.shape
     timestamps.check_within(num_frames)
     frames, classes = timestamps.frames, timestamps.labels
-    if classes.min() < 0 or classes.max() >= num_classes:
-        raise ValueError(f"timestamp class index out of range for {num_classes} classes")
+    _check_classes("timestamp", classes, num_classes)
     count = len(frames)
     logs = _safe_log(probs)
     grad_logs = np.zeros_like(logs)

@@ -7,15 +7,16 @@ classifier followed by a row-wise softmax. ``_stage_stacks`` is the one place
 that lays the stages out: the first stage runs one stack per first-stage
 kernel over the input features, and every later stage runs one stack over the
 previous stage's probabilities. All convolutions use zero "same" padding, so
-sequence length is preserved. No padded copy is built: a tap adds only the
-frames it reads inside the video, and a tap wholly outside it is skipped,
-which equals the padded form up to BLAS rounding at the video's edges.
+sequence length is preserved. Neither direction pads a copy with zeros: a
+tap reads and writes only its in-video rows (``_taps``), and a tap wholly
+outside is skipped, equal to explicit padding up to BLAS rounding at edges.
 
 ``_forward`` runs the stages once, keeping by default the per-layer caches
 that the backward pass reads (about 38 kB per frame at paper size).
 ``forward``, the inference pass, runs the same loop with ``keep=False``: no
 cache, the ReLU and residual sums in place, memory O(T x channels) plus the
-input, and outputs bit-equal to the cached pass's.
+input, and outputs bit-equal to the cached pass's. ``loss_value`` runs that
+cache-free pass too; only ``loss_and_grad`` keeps the caches.
 
 Gradients are computed by explicit reverse-mode passes written against the
 forward code; there is no autodiff involved. Parameters live in a flat dict
@@ -156,33 +157,34 @@ def _softmax_backward(probs, dprobs):
     return probs * (dprobs - inner)
 
 
-def _dilated_conv(x, w, b, dilation: int):
-    # x: (T, Cin), w: (Cout, Cin, k) -> (T, Cout); tap j reads frame t + j * dilation - radius
-    num_frames = x.shape[0]
-    kernel = w.shape[2]
+def _taps(num_frames: int, kernel: int, dilation: int):
+    """(j, output rows, input rows) of every tap that reads frames inside the video.
+
+    Output frame t reads frame t + j * dilation - radius at tap j.
+    """
     radius = dilation * (kernel - 1) // 2
-    out = np.broadcast_to(b, (num_frames, w.shape[0])).copy()
     for j in range(kernel):
         shift = j * dilation - radius
         lo, hi = max(0, -shift), min(num_frames, num_frames - shift)
-        if lo < hi:  # frames outside the video are zeros, which add nothing
-            out[lo:hi] += x[lo + shift : hi + shift] @ w[:, :, j].T
+        if lo < hi:
+            yield j, slice(lo, hi), slice(lo + shift, hi + shift)
+
+
+def _dilated_conv(x, w, b, dilation: int):
+    # x: (T, Cin), w: (Cout, Cin, k) -> (T, Cout)
+    out = np.broadcast_to(b, (x.shape[0], w.shape[0])).copy()
+    for j, rows, src in _taps(x.shape[0], w.shape[2], dilation):
+        out[rows] += x[src] @ w[:, :, j].T
     return out
 
 
 def _dilated_conv_backward(dy, x, w, dilation: int):
-    num_frames = x.shape[0]
-    kernel = w.shape[2]
-    radius = dilation * (kernel - 1) // 2
-    padded = np.zeros((num_frames + 2 * radius, x.shape[1]), dtype=x.dtype)
-    padded[radius : radius + num_frames] = x
-    dw = np.empty_like(w)
-    dpadded = np.zeros_like(padded)
-    for j in range(kernel):
-        window = slice(j * dilation, j * dilation + num_frames)
-        dw[:, :, j] = dy.T @ padded[window]
-        dpadded[window] += dy @ w[:, :, j]
-    return dw, dy.sum(axis=0), dpadded[radius : radius + num_frames]
+    dw = np.zeros_like(w)  # a tap left out reads only zeros: its slice stays 0
+    dx = np.zeros_like(x)
+    for j, rows, src in _taps(x.shape[0], w.shape[2], dilation):
+        dw[:, :, j] = dy[rows].T @ x[src]
+        dx[src] += dy[rows] @ w[:, :, j]
+    return dw, dy.sum(axis=0), dx
 
 
 # ---------------------------------------------------------------------------
@@ -289,32 +291,26 @@ def _backward(model: ModelState, stage_caches, dprobs_list):
 
 
 def forward(model: ModelState, features) -> StageOutputs:
-    """Pure forward pass; identical inputs always give identical outputs.
-
-    Keeps no backward cache: its memory is the input plus a few (T, channels)
-    activations, and its outputs are bit-equal to the training pass's.
-    """
+    """Pure inference pass: no backward cache, outputs bit-equal to ``_forward``'s."""
     features = _check_input(model, features)
     probs_list, penultimate, _ = _forward(model, features, keep=False)
     return StageOutputs(probs=probs_list, penultimate=penultimate)
 
 
-def _summed_loss(model, features, target, mask, timestamps, weights):
-    """One forward pass, the loss summed over its stages, per-stage dprobs, caches."""
-    features = _check_input(model, features)
-    probs_list, penultimate, stage_caches = _forward(model, features)
+def _summed_loss(outputs: StageOutputs, target, mask, timestamps, weights):
+    """The loss of one pass summed over its stages, and each stage's dprobs."""
     if callable(target):
-        target = target(StageOutputs(probs=probs_list, penultimate=penultimate))
+        target = target(outputs)
     total = 0.0
     dprobs_list = []
-    for stage, probs in enumerate(probs_list):
+    for stage, probs in enumerate(outputs.probs):
         value, dprobs = total_loss_grad(probs, target, mask, timestamps, weights)
         if not math.isfinite(value):
             raise FloatingPointError(f"non-finite loss at stage {stage}")
         total += value
         # the loss works in float64; hand the backward pass the network's dtype
         dprobs_list.append(dprobs.astype(probs.dtype, copy=False))
-    return total, dprobs_list, stage_caches
+    return total, dprobs_list
 
 
 def loss_and_grad(
@@ -332,9 +328,10 @@ def loss_and_grad(
     loss, and returns the labels. A training step that derives its labels
     from the model's outputs thus runs the network once.
     """
-    total, dprobs_list, stage_caches = _summed_loss(
-        model, features, target, mask, timestamps, weights
-    )
+    features = _check_input(model, features)
+    probs_list, penultimate, stage_caches = _forward(model, features)
+    outputs = StageOutputs(probs=probs_list, penultimate=penultimate)
+    total, dprobs_list = _summed_loss(outputs, target, mask, timestamps, weights)
     return total, _backward(model, stage_caches, dprobs_list)
 
 
@@ -346,8 +343,8 @@ def loss_value(
     timestamps: TimestampSet | None = None,
     weights: LossWeights = LossWeights(),
 ) -> float:
-    """Forward-only evaluation of the summed loss (used for gradient checking)."""
-    return _summed_loss(model, features, target, mask, timestamps, weights)[0]
+    """``loss_and_grad``'s loss on the cache-free ``forward`` pass (for gradient checks)."""
+    return _summed_loss(forward(model, features), target, mask, timestamps, weights)[0]
 
 
 # ---------------------------------------------------------------------------

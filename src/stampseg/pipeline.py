@@ -26,7 +26,7 @@ import numpy as np
 
 from . import change, net
 from .data import TimestampSet
-from .loss import LossWeights
+from .loss import LossWeights, _check_classes
 from .metrics import MetricsReport, report
 
 SUPERVISION_MODES = ("timestamps", "full", "naive", "uniform")
@@ -122,13 +122,21 @@ def _sparse_target(ts: TimestampSet, num_frames: int) -> np.ndarray:
     return target
 
 
-def _check_video(where: str, feats, labels, input_dim: int) -> None:
-    """Refuse features that are not (T, input_dim), or labels (when given) not T long."""
-    shape = np.shape(feats)
+def _check_video(where: str, model: net.ModelState, feats, labels) -> np.ndarray:
+    """The features as ``model`` takes them, or a refusal naming the video.
+
+    Refuses features that are not (T, input_dim) or not finite, and labels
+    (when given) not T long.
+    """
+    shape, input_dim = np.shape(feats), model.config.input_dim
     if len(shape) != 2 or shape[1] != input_dim:
         raise ValueError(f"{where}: features of shape {shape}, the model takes (T, {input_dim})")
     if labels is not None and len(labels) != shape[0]:
         raise ValueError(f"{where}: {len(labels)} labels for {shape[0]} frames")
+    try:
+        return net._check_input(model, feats)
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from None
 
 
 def _float32(m: net.ModelState) -> net.ModelState:
@@ -168,22 +176,26 @@ def train(
     if len(annotations) != len(dataset):
         raise ValueError("annotations and dataset differ in length")
     mode = config.supervision
-    input_dim = model_config.input_dim
+    num_classes = model_config.num_classes
+    master = net.init_model(model_config, config.seed)
+    model = _float32(master)
     # one (features, stamps, target, mask) per video; timestamps mode uses its target in warmup
     videos = []
     for i, ((feats, labels), ts) in enumerate(zip(dataset, annotations)):
-        feats = np.asarray(feats, dtype=np.float32)
         if mode in ("timestamps", "naive", "uniform") and ts is None:
             raise ValueError(f"supervision mode {mode!r} needs timestamps for video {i}")
         if mode == "full" and labels is None:
             raise ValueError(f"supervision mode 'full' needs frame labels for video {i}")
-        _check_video(f"video {i}", feats, labels if mode == "full" else None, input_dim)
+        feats = _check_video(f"video {i}", model, feats, labels if mode == "full" else None)
         num_frames = feats.shape[0]
-        if ts is not None:
-            try:
+        try:
+            if ts is not None:
                 ts.check_within(num_frames)
-            except ValueError as err:
-                raise ValueError(f"video {i}: {err}") from None
+                _check_classes("timestamp", ts.labels, num_classes)
+            if mode == "full":
+                _check_classes("target", np.asarray(labels), num_classes)
+        except ValueError as err:
+            raise ValueError(f"video {i}: {err}") from None
         if mode == "full":
             target, mask = labels, None
         elif mode == "uniform":
@@ -195,11 +207,9 @@ def train(
     for i, (feats, labels) in enumerate(val_data or ()):
         if labels is None:
             raise ValueError(f"val_data video {i} has no frame labels")
-        _check_video(f"val_data video {i}", feats, labels, input_dim)
+        _check_video(f"val_data video {i}", model, feats, labels)
 
-    master = net.init_model(model_config, config.seed)
     adam = net.AdamState.zeros(master.params)
-    model = _float32(master)
     shuffle_rng = np.random.default_rng([config.seed, 1])
     logs: list[EpochLog] = []
     for epoch in range(1, config.epochs + 1):

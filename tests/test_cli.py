@@ -245,6 +245,31 @@ def test_train_refuses_output_in_missing_directory(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "model.bin").exists()
 
 
+def _no_corpus_loading(monkeypatch):
+    def no_loading(*args, **kwargs):
+        raise AssertionError("loaded the corpus before checking the flags")
+
+    monkeypatch.setattr(data, "load_corpus", no_loading)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--epochs", 50, "--warmup", 60], "warmup_epochs must lie in [0, epochs]"),
+        (["--lr", 0], "lr must be finite and positive"),
+        (["--batch", 0], "batch_size must be >= 1"),
+    ],
+    ids=["warmup", "lr", "batch"],
+)
+def test_train_refuses_bad_flags_before_loading_the_corpus(
+    tmp_path, capsys, monkeypatch, flags, message
+):
+    _no_corpus_loading(monkeypatch)
+    code = _run("train", "--data", tmp_path, "--out", tmp_path / "model.bin", *flags)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_eval_pred_directory(tmp_path, capsys):
     root = _synth(tmp_path / "corpus")
     pred_dir = tmp_path / "preds"
@@ -263,6 +288,13 @@ def test_eval_requires_exactly_one_source(tmp_path, capsys):
     assert "exactly one" in capsys.readouterr().err
     assert _run("eval", "--data", root, "--model", "a", "--pred", "b") == 1
     assert "exactly one" in capsys.readouterr().err
+
+
+def test_eval_refuses_its_sources_before_loading_the_corpus(tmp_path, capsys, monkeypatch):
+    _no_corpus_loading(monkeypatch)
+    for sources in ([], ["--model", "a", "--pred", "b"]):
+        assert _run("eval", "--data", tmp_path, *sources) == 1
+        assert capsys.readouterr().err == "error: pass exactly one of --model or --pred\n"
 
 
 def test_eval_missing_prediction_file(tmp_path, capsys):

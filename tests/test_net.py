@@ -128,22 +128,26 @@ def test_translation_consistency_interior():
     np.testing.assert_allclose(y_shifted[lo:hi], y[lo - shift : hi - shift], atol=1e-10)
 
 
+def _random_config(rng):
+    kernels = rng.choice([1, 3, 5], size=3)
+    return net.ModelConfig(
+        input_dim=int(rng.integers(1, 9)),
+        num_classes=int(rng.integers(2, 6)),
+        num_stages=int(rng.integers(1, 4)),
+        layers_per_stage=int(rng.integers(1, 8)),
+        channels=int(rng.integers(1, 17)),
+        first_stage_kernels=(int(kernels[0]), int(kernels[1])),
+        later_kernel=int(kernels[2]),
+    )
+
+
 def test_forward_without_cache_equals_cached_pass():
     # forward keeps no layer cache and runs the ReLU and residual sums in
     # place; every output must still be bit-equal to the training pass's
     rng = np.random.default_rng(11)
     for trial in range(24):
         dtype = (np.float32, np.float64)[trial % 2]
-        kernels = rng.choice([1, 3, 5], size=3)
-        config = net.ModelConfig(
-            input_dim=int(rng.integers(1, 9)),
-            num_classes=int(rng.integers(2, 6)),
-            num_stages=int(rng.integers(1, 4)),
-            layers_per_stage=int(rng.integers(1, 8)),
-            channels=int(rng.integers(1, 17)),
-            first_stage_kernels=(int(kernels[0]), int(kernels[1])),
-            later_kernel=int(kernels[2]),
-        )
+        config = _random_config(rng)
         model = _with_dtype(net.init_model(config, seed=trial), dtype)
         num_frames = 1 + trial // 2 if trial < 6 else int(rng.integers(1, 300))
         feats = rng.standard_normal((num_frames, config.input_dim)).astype(dtype)
@@ -207,6 +211,21 @@ def _padded_conv(x, w, b, dilation):
     for j in range(kernel):
         out += padded[j * dilation : j * dilation + num_frames] @ w[:, :, j].T
     return out
+
+
+def _padded_conv_backward(dy, x, w, dilation):
+    """The conv's (dw, db, dx) on an explicit zero-padded copy of x, every tap over all T rows."""
+    num_frames, kernel = x.shape[0], w.shape[2]
+    radius = dilation * (kernel - 1) // 2
+    padded = np.zeros((num_frames + 2 * radius, x.shape[1]), dtype=x.dtype)
+    padded[radius : radius + num_frames] = x
+    dw = np.empty_like(w)
+    dpadded = np.zeros_like(padded)
+    for j in range(kernel):
+        window = slice(j * dilation, j * dilation + num_frames)
+        dw[:, :, j] = dy.T @ padded[window]
+        dpadded[window] += dy @ w[:, :, j]
+    return dw, dy.sum(axis=0), dpadded[radius : radius + num_frames]
 
 
 def _frame_loop_conv(x, w, b, dilation):
@@ -282,6 +301,53 @@ def test_dilated_conv_matches_frame_loop_oracle(num_frames, kernel, dilation, ch
         net._dilated_conv(x, w, b, dilation), _frame_loop_conv(x, w, b, dilation),
         rtol=1e-12, atol=1e-12,
     )
+
+
+def _backward_case(num_frames, kernel, dtype, channels):
+    x, w, _ = _conv_case(num_frames, kernel, dtype, channels)
+    dy = np.random.default_rng(2).standard_normal((num_frames, channels + 2)).astype(dtype)
+    return dy, x, w
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("num_frames,kernel,dilation,channels", WHOLE_TAPS)
+def test_dilated_conv_backward_bit_equal_to_padded_when_taps_are_whole(
+    num_frames, kernel, dilation, channels, dtype
+):
+    dy, x, w = _backward_case(num_frames, kernel, dtype, channels)
+    got = net._dilated_conv_backward(dy, x, w, dilation)
+    for name, a, b in zip(("dw", "db", "dx"), got, _padded_conv_backward(dy, x, w, dilation)):
+        assert a.dtype == dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("num_frames,kernel,dilation,channels", PARTIAL_TAPS)
+def test_dilated_conv_backward_partial_taps_match_padded(
+    num_frames, kernel, dilation, channels, dtype
+):
+    # as in the forward: a partial tap's GEMM runs over T - |shift| rows, so
+    # BLAS may round edge rows (dx) and whole sums (dw) differently
+    dy, x, w = _backward_case(num_frames, kernel, dtype, channels)
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    got = net._dilated_conv_backward(dy, x, w, dilation)
+    for name, a, b in zip(("dw", "db", "dx"), got, _padded_conv_backward(dy, x, w, dilation)):
+        assert a.dtype == dtype, name
+        np.testing.assert_allclose(a, b, rtol=tol, atol=tol, err_msg=name)
+
+
+@pytest.mark.parametrize(
+    "num_frames,kernel,dilation", [(1, 3, 1), (7, 3, 7), (7, 5, 8), (30, 5, 64)]
+)
+def test_dilated_conv_backward_skipped_tap_has_zero_weight_gradient(num_frames, kernel, dilation):
+    # dilation >= T: every off-centre tap reads only padding, so its dw slice
+    # is exactly 0 and dx comes from the centre tap alone
+    dy, x, w = _backward_case(num_frames, kernel, np.float32, 8)
+    dw, _, dx = net._dilated_conv_backward(dy, x, w, dilation)
+    centre = kernel // 2
+    for j in range(kernel):
+        assert dw[:, :, j].any() == (j == centre), j
+    assert np.array_equal(dx, dy @ w[:, :, centre])
 
 
 def test_softmax_argmax_invariant_under_temperature():
@@ -383,6 +449,33 @@ def test_target_function_sees_the_same_pass():
     assert value == ref_value
     for key in ref_grads:
         np.testing.assert_array_equal(grads[key], ref_grads[key])
+
+
+def test_loss_value_is_the_loss_of_loss_and_grad_on_the_cache_free_pass(monkeypatch):
+    real_forward = net._forward
+    keeps = []
+
+    def forward_spy(model, features, keep=True):
+        keeps.append(keep)
+        return real_forward(model, features, keep)
+
+    monkeypatch.setattr(net, "_forward", forward_spy)
+    rng = np.random.default_rng(17)
+    for trial in range(16):
+        dtype = (np.float32, np.float64)[trial % 2]
+        config = _random_config(rng)
+        model = _with_dtype(net.init_model(config, seed=trial), dtype)
+        num_frames = int(rng.integers(1, 120))
+        feats = rng.standard_normal((num_frames, config.input_dim))
+        stamps = np.sort(rng.choice(num_frames, size=min(num_frames, 4), replace=False))
+        ts = _ts(stamps, rng.integers(0, config.num_classes, size=len(stamps)))
+        labels = rng.integers(0, config.num_classes, size=num_frames)
+        mask = None if trial % 4 < 2 else set(stamps.tolist())
+        for target in (labels, lambda out: np.argmax(out.probs[-1], axis=1)):
+            keeps.clear()
+            value = net.loss_value(model, feats, target, mask, ts)
+            assert keeps == [False]
+            assert value == net.loss_and_grad(model, feats, target, mask, ts)[0], (trial, config)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -381,6 +381,28 @@ def _cut_labels(pair):
     return feats, labels[:-1]
 
 
+def _with_nan(pair):
+    feats, labels = pair
+    feats = np.array(feats)
+    feats[4, 2] = np.nan
+    return feats, labels
+
+
+def _label_out_of_range(pair):
+    feats, labels = pair
+    labels = np.array(labels)
+    labels[5] = 7
+    return feats, labels
+
+
+def _stamp_out_of_range(ts):
+    return data.TimestampSet(ts.frames, np.r_[ts.labels[:-1], 5])
+
+
+NONFINITE = "non-finite value in input features"
+STAMP_RANGE = r"^video 1: timestamp class index out of range for 3 classes$"
+
+
 @pytest.mark.parametrize(
     "where, mode, edit, match",
     [
@@ -390,9 +412,17 @@ def _cut_labels(pair):
         ("val", "timestamps", _narrowed, r"val_data video 1: features of shape \(\d+, 5\)"),
         ("val", "timestamps", _cut_labels, r"val_data video 1: \d+ labels for \d+ frames"),
         ("train", "full", _cut_labels, r"^video 1: \d+ labels for \d+ frames"),
+        ("train", "naive", _with_nan, f"^video 1: {NONFINITE}$"),
+        ("val", "naive", _with_nan, f"^val_data video 1: {NONFINITE}$"),
+        ("train", "full", _label_out_of_range,
+         r"^video 1: target class index out of range for 3 classes$"),
+        ("stamps", "naive", _stamp_out_of_range, STAMP_RANGE),
+        ("stamps", "uniform", _stamp_out_of_range, STAMP_RANGE),
+        ("stamps", "timestamps", _stamp_out_of_range, STAMP_RANGE),
     ],
     ids=["train-width-full", "train-width-timestamps", "val-width", "val-labels",
-         "train-labels-full"],
+         "train-labels-full", "train-nan", "val-nan", "train-class-full",
+         "stamp-class-naive", "stamp-class-uniform", "stamp-class-timestamps"],
 )
 def test_unusable_video_refused_before_training(monkeypatch, where, mode, edit, match):
     pairs = _corpus(noise=0.1, videos=3, seed=12)
@@ -400,8 +430,10 @@ def test_unusable_video_refused_before_training(monkeypatch, where, mode, edit, 
     val_data = list(pairs)
     if where == "train":
         pairs[1] = edit(pairs[1])
-    else:
+    elif where == "val":
         val_data[1] = edit(val_data[1])
+    else:
+        annotations[1] = edit(annotations[1])
 
     def untouched(*args, **kwargs):
         raise AssertionError("trained before checking every video")
