@@ -23,6 +23,13 @@ def _check_features(features) -> np.ndarray:
     return features
 
 
+def _check_pair(left: int, right: int, num_frames: int) -> None:
+    if not 0 <= left < right < num_frames:
+        raise ValueError(
+            f"need 0 <= left < right < T, got left={left}, right={right}, T={num_frames}"
+        )
+
+
 def _cluster_distances(rows, sq_rows, means):
     """(len(rows), len(means)) Euclidean distances from one matrix product.
 
@@ -88,11 +95,7 @@ def s2s_boundary(features, left: int, right: int) -> int:
     A non-finite value in features[left .. right] raises ValueError.
     """
     features = _check_features(features)
-    num_frames = features.shape[0]
-    if not 0 <= left < right < num_frames:
-        raise ValueError(
-            f"need 0 <= left < right < T, got left={left}, right={right}, T={num_frames}"
-        )
+    _check_pair(left, right, features.shape[0])
     energies = _split_energies(features, left, left, right, right)
     return left + int(np.argmin(energies))
 
@@ -110,10 +113,7 @@ def s2s_boundary_prob(probs, left_class: int, left: int, right_class: int, right
     if not np.isfinite(probs).all():
         raise ValueError("non-finite value in input probabilities")
     num_frames, num_classes = probs.shape
-    if not 0 <= left < right < num_frames:
-        raise ValueError(
-            f"need 0 <= left < right < T, got left={left}, right={right}, T={num_frames}"
-        )
+    _check_pair(left, right, num_frames)
     for cls in (left_class, right_class):
         if not 0 <= cls < num_classes:
             raise ValueError(f"class index {cls} out of range for {num_classes} classes")

@@ -5,6 +5,7 @@ train.bundle and test.bundle, and optionally timestamps/.
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -101,13 +102,17 @@ def cmd_train(args) -> int:
         if path is not None and not Path(path).parent.is_dir():
             raise ValueError(f"{flag} {path}: directory {Path(path).parent} does not exist")
     config = _train_config(args)
+    # the model flags are checked now; the corpus fills in its two dimensions below
+    model_config = _model_config(args, input_dim=1, num_classes=1)
     vocab, records = data.load_corpus(args.data, split=args.split)
     dataset = [(r.features, r.labels) for r in records]
     annotations = [r.timestamps for r in records]
     if args.mode != "full" and any(ts is None for ts in annotations):
         missing = [r.name for r in records if r.timestamps is None]
         raise ValueError(f"mode {args.mode!r} needs timestamps; missing for {missing[:3]}")
-    model_config = _model_config(args, records[0].features.shape[1], vocab.num_classes)
+    model_config = dataclasses.replace(
+        model_config, input_dim=records[0].features.shape[1], num_classes=vocab.num_classes
+    )
 
     val_data = None
     if args.val is not None:

@@ -109,23 +109,30 @@ def _read_lines(path) -> list[str]:
         raise ValueError(f"{path}: not UTF-8 text") from None
 
 
+def _numbered_lines(path, number: str) -> list[tuple[int, int, str]]:
+    """Each ``<number> <name>`` line as (line number, number, name).
+
+    A refusal names the path, the line and the offending text.
+    """
+    rows = []
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        token, sep, name = line.partition(" ")
+        if not sep or not name:
+            raise ValueError(f"{path}: line {lineno}: expected '<{number}> <name>', got {line!r}")
+        try:
+            rows.append((lineno, int(token), name))
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: malformed <{number}> {token!r}") from None
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # vocabulary
 
 def load_vocab(path) -> ActionVocab:
-    lines = _read_lines(path)
     by_index: dict[int, str] = {}
     seen_names: set[str] = set()
-    for lineno, line in enumerate(lines, start=1):
-        if line == "":
-            raise ValueError(f"{path}: line {lineno}: empty line in vocabulary")
-        idx_str, sep, name = line.partition(" ")
-        if not sep or not name:
-            raise ValueError(f"{path}: line {lineno}: expected '<index> <name>'")
-        try:
-            idx = int(idx_str)
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: malformed class index {idx_str!r}") from None
+    for lineno, idx, name in _numbered_lines(path, "index"):
         if idx in by_index:
             raise ValueError(f"{path}: line {lineno}: duplicate class index {idx}")
         if name in seen_names:
@@ -247,22 +254,12 @@ def write_labels(labels: np.ndarray, vocab: ActionVocab, path) -> None:
 # timestamps on disk
 
 def load_timestamps(path, vocab: ActionVocab, num_frames: int | None = None) -> TimestampSet:
-    lines = _read_lines(path)
-    if not lines:
+    rows = _numbered_lines(path, "frame")
+    if not rows:
         raise ValueError(f"{path}: empty timestamp file")
-    frames = np.empty(len(lines), dtype=np.int64)
-    labels = np.empty(len(lines), dtype=np.int64)
-    for lineno, line in enumerate(lines, start=1):
-        frame_str, sep, name = line.partition(" ")
-        if not sep or not name:
-            raise ValueError(f"{path}: line {lineno}: expected '<frame> <name>'")
-        try:
-            frames[lineno - 1] = int(frame_str)
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: malformed frame index {frame_str!r}") from None
-        labels[lineno - 1] = vocab.index_of(name)
     try:
-        ts = TimestampSet(frames, labels)
+        labels = [vocab.index_of(name) for _, _, name in rows]
+        ts = TimestampSet([frame for _, frame, _ in rows], labels)
         if num_frames is not None:
             ts.check_within(num_frames)
     except ValueError as err:
@@ -280,11 +277,16 @@ def write_timestamps(ts: TimestampSet, vocab: ActionVocab, path) -> None:
 # ---------------------------------------------------------------------------
 # segments and annotation sampling
 
-def segments_from_labels(labels: np.ndarray) -> list[tuple[int, int, int]]:
-    """Run-length encode frame labels into (class, start, end) with end exclusive."""
+def _check_labels(labels) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.ndim != 1 or len(labels) == 0:
         raise ValueError("labels must be a non-empty 1-D array")
+    return labels
+
+
+def segments_from_labels(labels: np.ndarray) -> list[tuple[int, int, int]]:
+    """Run-length encode frame labels into (class, start, end) with end exclusive."""
+    labels = _check_labels(labels)
     cuts = np.flatnonzero(np.diff(labels)) + 1
     starts = np.concatenate(([0], cuts))
     ends = np.concatenate((cuts, [len(labels)]))
@@ -320,9 +322,7 @@ def sample_timestamps_fraction(labels: np.ndarray, fraction: float, seed: int = 
     Segments may receive zero, one, or several annotations, so consecutive
     entries can repeat a class.
     """
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or len(labels) == 0:
-        raise ValueError("labels must be a non-empty 1-D array")
+    labels = _check_labels(labels)
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     num_frames = len(labels)
@@ -449,12 +449,9 @@ def write_corpus(
     for name, feats, labels in videos:
         write_features(feats, root / "features" / f"{name}.npy")
         write_labels(labels, vocab, root / "groundTruth" / f"{name}.txt")
-    (root / "splits" / "train.bundle").write_text(
-        "".join(n + "\n" for n in train_names), encoding="utf-8"
-    )
-    (root / "splits" / "test.bundle").write_text(
-        "".join(n + "\n" for n in test_names), encoding="utf-8"
-    )
+    for split, names in (("train", train_names), ("test", test_names)):
+        bundle = "".join(n + "\n" for n in names)
+        (root / "splits" / f"{split}.bundle").write_text(bundle, encoding="utf-8")
 
 
 def load_corpus(data_dir, split: str = "train") -> tuple[ActionVocab, list[VideoRecord]]:

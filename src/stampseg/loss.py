@@ -154,8 +154,9 @@ def conf_loss_grad(probs, timestamps: TimestampSet) -> tuple[float, np.ndarray]:
         active = delta > 0.0
         total += float(delta[active].sum())
         sign = np.where(away_right, 1.0, -1.0) * active
-        np.add.at(grad_logs[:, cls], t, sign)
-        np.add.at(grad_logs[:, cls], t - 1, -sign)
+        # t holds each frame once, so each fancy-index += adds each sign exactly once
+        grad_logs[t, cls] += sign
+        grad_logs[t - 1, cls] -= sign
     norm = max(1.0, 2.0 * float(frames[-1] - frames[0]))
     return total / norm, (grad_logs / norm) * _dlog(probs)
 

@@ -231,15 +231,12 @@ def _stack_backward(params, prefix: str, cache, dh, grads):
 
 def _check_input(model: ModelState, features) -> np.ndarray:
     """The features as a (T, input_dim) array in the dtype of the model's parameters."""
-    config = model.config
+    input_dim = model.config.input_dim
     features = np.asarray(features, dtype=model.params["s0.cls.w"].dtype)
-    if features.ndim != 2 or features.shape[0] < 1:
+    if features.ndim != 2 or features.shape[1] != input_dim:
+        raise ValueError(f"features of shape {features.shape}, the model takes (T, {input_dim})")
+    if features.shape[0] < 1:
         raise ValueError("features must be a (T, D) array with T >= 1")
-    if features.shape[1] != config.input_dim:
-        raise ValueError(
-            f"feature dimension {features.shape[1]} does not match model input_dim "
-            f"{config.input_dim}"
-        )
     if not np.isfinite(features).all():
         raise ValueError("non-finite value in input features")
     return features

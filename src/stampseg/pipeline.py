@@ -125,28 +125,20 @@ def _sparse_target(ts: TimestampSet, num_frames: int) -> np.ndarray:
 def _check_video(where: str, model: net.ModelState, feats, labels) -> np.ndarray:
     """The features as ``model`` takes them, or a refusal naming the video.
 
-    Refuses features that are not (T, input_dim) or not finite, and labels
-    (when given) not T long.
+    Refuses what ``net._check_input`` refuses, and labels (when given) not T long.
     """
-    shape, input_dim = np.shape(feats), model.config.input_dim
-    if len(shape) != 2 or shape[1] != input_dim:
-        raise ValueError(f"{where}: features of shape {shape}, the model takes (T, {input_dim})")
-    if labels is not None and len(labels) != shape[0]:
-        raise ValueError(f"{where}: {len(labels)} labels for {shape[0]} frames")
     try:
-        return net._check_input(model, feats)
+        feats = net._check_input(model, feats)
     except ValueError as err:
         raise ValueError(f"{where}: {err}") from None
+    if labels is not None and len(labels) != len(feats):
+        raise ValueError(f"{where}: {len(labels)} labels for {len(feats)} frames")
+    return feats
 
 
 def _float32(m: net.ModelState) -> net.ModelState:
     """A float32 copy of the float64 master weights: the model every caller sees."""
     return net.ModelState(m.config, {k: p.astype(np.float32) for k, p in m.params.items()})
-
-
-def _chunks(order, size):
-    for i in range(0, len(order), size):
-        yield order[i : i + size]
 
 
 def train(
@@ -215,9 +207,9 @@ def train(
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(len(videos))
         epoch_losses = []
-        for batch in _chunks(order, config.batch_size):
+        for start in range(0, len(order), config.batch_size):
             batch_grads = {k: np.zeros_like(p) for k, p in master.params.items()}
-            for vi in batch:
+            for vi in order[start : start + config.batch_size]:
                 feats, ts, target, mask = videos[vi]
                 if mode == "timestamps" and epoch > config.warmup_epochs:
                     target = lambda outputs: pseudo_labels(outputs, ts, config.boundary_method)

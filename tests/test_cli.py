@@ -1,4 +1,5 @@
 import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,26 @@ def test_train_full_then_eval_perfect(tmp_path, capsys):
     assert log_lines[0].startswith("1\t")
 
 
+def test_train_val_log_matches_eval(tmp_path, capsys):
+    root = _synth(tmp_path / "corpus")
+    model_path = tmp_path / "model.bin"
+    log_path = tmp_path / "train.log"
+    assert _run(
+        "train", "--data", root, "--out", model_path, "--log", log_path, "--val", "test",
+        "--mode", "full", "--epochs", 3, "--warmup", 0, "--batch", 2, *TINY_NET,
+    ) == 0
+    log_lines = log_path.read_text().splitlines()
+    assert len(log_lines) == 3
+    for epoch, line in enumerate(log_lines, start=1):
+        fields = line.split("\t")
+        assert fields[0] == str(epoch)
+        assert len(fields) == 7  # epoch, loss, then acc edit f1_10 f1_25 f1_50
+        assert all(re.fullmatch(r"\d+\.\d", f) for f in fields[2:])
+    capsys.readouterr()
+    assert _run("eval", "--data", root, "--model", model_path, "--split", "test") == 0
+    assert capsys.readouterr().out == "\t".join(log_lines[-1].split("\t")[2:]) + "\n"
+
+
 def test_train_timestamps_mode_runs(tmp_path, capsys):
     root = _synth(tmp_path / "corpus")
     assert _run("annotate", "--data", root, "--strategy", "center") == 0
@@ -258,8 +279,10 @@ def _no_corpus_loading(monkeypatch):
         (["--epochs", 50, "--warmup", 60], "warmup_epochs must lie in [0, epochs]"),
         (["--lr", 0], "lr must be finite and positive"),
         (["--batch", 0], "batch_size must be >= 1"),
+        (["--stages", 0], "num_stages must be >= 1"),
+        (["--kernels", 4, 3], "kernel sizes must be odd and >= 1, got 4"),
     ],
-    ids=["warmup", "lr", "batch"],
+    ids=["warmup", "lr", "batch", "stages", "kernels"],
 )
 def test_train_refuses_bad_flags_before_loading_the_corpus(
     tmp_path, capsys, monkeypatch, flags, message

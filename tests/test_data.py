@@ -529,3 +529,45 @@ def test_corpus_missing_split(tmp_path):
     data.write_vocab(vocab, tmp_path / "mapping.txt")
     with pytest.raises(ValueError, match="split bundle"):
         data.load_corpus(tmp_path, "train")
+
+
+def _small_corpus(root):
+    """Two 20-frame videos, v0 (train, stamped at frames 3 and 12) and v1 (test)."""
+    vocab = data.ActionVocab(("a", "b"))
+    rng = np.random.default_rng(9)
+    labels = np.repeat([0, 1], 10)
+    videos = [(f"v{i}", rng.standard_normal((20, 4)), labels) for i in range(2)]
+    data.write_corpus(root, vocab, videos, ["v0"], ["v1"])
+    (root / "timestamps").mkdir()
+    stamps = data.TimestampSet(np.array([3, 12]), np.array([0, 1]))
+    data.write_timestamps(stamps, vocab, root / "timestamps" / "v0.txt")
+    return root
+
+
+def test_corpus_skips_blank_bundle_lines(tmp_path):
+    root = _small_corpus(tmp_path)
+    (root / "splits" / "train.bundle").write_text("v0\n\n  \nv1.txt\n", encoding="utf-8")
+    _, records = data.load_corpus(root, "train")
+    assert [r.name for r in records] == ["v0", "v1"]
+
+
+@pytest.mark.parametrize(
+    "file, text, message",
+    [
+        ("mapping.txt", "0 a\n1\n", r"line 2: expected '<index> <name>', got '1'$"),
+        ("mapping.txt", "0 a\n1.0 b\n", r"line 2: malformed <index> '1\.0'$"),
+        ("timestamps/v0.txt", "3 a\n12\n", r"line 2: expected '<frame> <name>', got '12'$"),
+        ("timestamps/v0.txt", "3 a\nx12 b\n", r"line 2: malformed <frame> 'x12'$"),
+        ("timestamps/v0.txt", "3 a\n12 z\n", r"unknown action name 'z'$"),
+        ("groundTruth/v0.txt", "a\n" * 19, "19 labels for 20 feature frames$"),
+        ("splits/train.bundle", "\n  \n", "empty split bundle$"),
+    ],
+    ids=["mapping-no-name", "mapping-number", "stamps-no-name", "stamps-number", "stamps-name",
+         "labels-count", "bundle-empty"],
+)
+def test_corpus_refuses_a_bad_text_file(tmp_path, file, text, message):
+    root = _small_corpus(tmp_path)
+    path = root / file
+    path.write_text(text, encoding="utf-8")
+    with _refused(path, message):
+        data.load_corpus(root, "train")

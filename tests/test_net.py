@@ -101,7 +101,7 @@ def test_forward_pure_and_stateless():
 
 def test_forward_dimension_mismatch():
     model = net.init_model(_tiny_config(), seed=0)
-    with pytest.raises(ValueError, match="input_dim"):
+    with pytest.raises(ValueError, match="the model takes"):
         net.forward(model, np.zeros((4, 7)))
 
 
