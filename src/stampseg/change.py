@@ -17,7 +17,7 @@ _BLOCK = 256
 
 
 def _check_features(features) -> np.ndarray:
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(features)
     if features.ndim != 2 or features.shape[0] < 1:
         raise ValueError("features must be a (T, F) array with T >= 1")
     return features
@@ -50,18 +50,18 @@ def _split_energies(feats, span_start, cand_lo, cand_hi, span_end):
     cluster is feats[t + 1 .. span_end], both inclusive; each cluster is scored
     by the sum of Euclidean distances of its frames to the cluster mean.
 
-    The window is centred on its mean first, which keeps the expanded distance
-    |x|^2 - 2 x.m + |m|^2 from cancelling when the frames share a large offset.
-    Cluster means come from prefix and suffix sums, and each block of _BLOCK
-    candidates takes one matrix product per side. For a window of L frames of
-    dimension F this runs in O(L^2 F) time and O(_BLOCK L + L F) memory; no
-    (frames, candidates, F) array is built.
+    The window is copied to float64 and centred on its mean, which keeps the
+    expanded distance |x|^2 - 2 x.m + |m|^2 from cancelling when the frames
+    share a large offset. Cluster means come from prefix and suffix sums, and
+    each block of _BLOCK candidates takes one matrix product per side. For a
+    window of L frames of dimension F this runs in O(L^2 F) time and
+    O(_BLOCK L + L F) memory; no (frames, candidates, F) array is built.
     """
-    window = feats[span_start : span_end + 1]
+    window = feats[span_start : span_end + 1].astype(np.float64)
     # The clamp below would turn a NaN distance into 0, so refuse non-finite frames.
     if not np.isfinite(window).all():
         raise ValueError("non-finite value in input features")
-    window = window - window.mean(axis=0)
+    window -= window.mean(axis=0)
     num = window.shape[0]
     sq = np.einsum("ij,ij->i", window, window)
     prefix = np.cumsum(window, axis=0)
@@ -105,9 +105,9 @@ def s2s_boundary_prob(probs, left_class: int, left: int, right_class: int, right
 
     The objective for split t is mean(probs[left .. t, left_class]) +
     mean(probs[t + 1 .. right, right_class]); ties go to the smallest t.
-    Non-finite probabilities raise ValueError.
+    Non-finite probabilities raise ValueError; the means are summed in float64.
     """
-    probs = np.asarray(probs, dtype=np.float64)
+    probs = np.asarray(probs)
     if probs.ndim != 2:
         raise ValueError("probs must be a (T, C) array")
     if not np.isfinite(probs).all():
@@ -119,10 +119,9 @@ def s2s_boundary_prob(probs, left_class: int, left: int, right_class: int, right
             raise ValueError(f"class index {cls} out of range for {num_classes} classes")
     count = right - left
     idx = np.arange(count)
-    col_l = probs[left:right, left_class]
-    mean_l = np.cumsum(col_l) / (idx + 1)
+    mean_l = np.cumsum(probs[left:right, left_class], dtype=np.float64) / (idx + 1)
     col_r = probs[left + 1 : right + 1, right_class]
-    mean_r = np.cumsum(col_r[::-1])[::-1] / (count - idx)
+    mean_r = np.cumsum(col_r[::-1], dtype=np.float64)[::-1] / (count - idx)
     return left + int(np.argmax(mean_l + mean_r))
 
 

@@ -157,8 +157,9 @@ def cmd_eval(args) -> int:
     if (args.model is None) == (args.pred is None):
         raise ValueError("pass exactly one of --model or --pred")
     vocab, records = data.load_corpus(args.data, split=args.split)
-    if any(r.labels is None for r in records):
-        raise ValueError("evaluation needs ground-truth labels for every video")
+    for rec in records:
+        if rec.labels is None:
+            raise ValueError(f"video {rec.name!r} has no ground-truth labels to evaluate against")
     gts = [r.labels for r in records]
     if args.model is not None:
         model = _load_model_for(args.model, records)

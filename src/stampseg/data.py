@@ -51,10 +51,7 @@ class ActionVocab:
         return self.names[index]
 
     def index_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise ValueError(f"unknown action name {name!r}") from None
+        return self.names.index(name)
 
 
 @dataclass
@@ -124,6 +121,17 @@ def _numbered_lines(path, number: str) -> list[tuple[int, int, str]]:
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: malformed <{number}> {token!r}") from None
     return rows
+
+
+def _class_indices(path, vocab: ActionVocab, named_lines) -> np.ndarray:
+    """The class of each (line number, action name) of ``path``, refusing unknown names by line."""
+    index = {name: i for i, name in enumerate(vocab.names)}
+    out = []
+    for lineno, name in named_lines:
+        if name not in index:
+            raise ValueError(f"{path}: line {lineno}: unknown action name {name!r}")
+        out.append(index[name])
+    return np.array(out, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +243,7 @@ def load_labels(path, vocab: ActionVocab) -> np.ndarray:
     lines = _read_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty label file")
-    out = np.empty(len(lines), dtype=np.int64)
-    lookup = {n: i for i, n in vocab.entries}
-    for lineno, name in enumerate(lines, start=1):
-        try:
-            out[lineno - 1] = lookup[name]
-        except KeyError:
-            raise ValueError(f"{path}: line {lineno}: unknown action name {name!r}") from None
-    return out
+    return _class_indices(path, vocab, enumerate(lines, start=1))
 
 
 def write_labels(labels: np.ndarray, vocab: ActionVocab, path) -> None:
@@ -257,8 +258,8 @@ def load_timestamps(path, vocab: ActionVocab, num_frames: int | None = None) -> 
     rows = _numbered_lines(path, "frame")
     if not rows:
         raise ValueError(f"{path}: empty timestamp file")
+    labels = _class_indices(path, vocab, ((lineno, name) for lineno, _, name in rows))
     try:
-        labels = [vocab.index_of(name) for _, _, name in rows]
         ts = TimestampSet([frame for _, frame, _ in rows], labels)
         if num_frames is not None:
             ts.check_within(num_frames)

@@ -170,8 +170,10 @@ def total_loss_grad(
     """cls + alpha * tmse + beta * conf; the conf term needs timestamps.
 
     ``probs`` is widened to float64 once, and every term reads that one copy.
+    The gradient comes back in the float dtype of ``probs`` (float64 for others).
     """
-    probs = _check_probs(probs)
+    given = np.asarray(probs)
+    probs = _check_probs(given)
     value, grad = cls_loss_grad(probs, target, mask)
     if weights.alpha != 0.0:
         tv, tg = tmse_loss_grad(probs, weights.tau)
@@ -181,4 +183,6 @@ def total_loss_grad(
         cv, cg = conf_loss_grad(probs, timestamps)
         value += weights.beta * cv
         grad += weights.beta * cg
+    if given.dtype.kind == "f":
+        grad = grad.astype(given.dtype, copy=False)
     return value, grad

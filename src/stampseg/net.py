@@ -25,12 +25,11 @@ serialization order of checkpoints.
 
 The network computes in the dtype of its parameters: the input features are
 cast to it (a no-op for the float32 frames ``data.load_features`` returns and
-a float32 model), and the forward activations, the backward pass and the
-gradients stay in it. The loss terms work in float64 on the (T, C)
-probabilities, and their gradients are cast back before the backward pass.
-``init_model`` gives float64 parameters, which the gradient checks use and
-which ``pipeline.train`` keeps as its optimiser's master weights; every model
-that training hands out, and every model ``load_model`` reads, is float32.
+a float32 model), and the forward activations, the loss's dprobs, the
+backward pass and the gradients stay in it. ``init_model`` gives float64
+parameters, which the gradient checks use and which ``pipeline.train`` keeps
+as its optimiser's master weights; every model that training hands out, and
+every model ``load_model`` reads, is float32.
 """
 
 import math
@@ -305,8 +304,7 @@ def _summed_loss(outputs: StageOutputs, target, mask, timestamps, weights):
         if not math.isfinite(value):
             raise FloatingPointError(f"non-finite loss at stage {stage}")
         total += value
-        # the loss works in float64; hand the backward pass the network's dtype
-        dprobs_list.append(dprobs.astype(probs.dtype, copy=False))
+        dprobs_list.append(dprobs)
     return total, dprobs_list
 
 

@@ -81,19 +81,16 @@ def pseudo_boundaries(
     """The estimator's N-1 boundaries for one video's N timestamps (empty for one).
 
     ``fb`` and ``s2s_features`` split on the penultimate activations,
-    ``s2s_prob`` on the final-stage probabilities. Each method widens that
-    network output to float64 once per call, not once per pair of timestamps.
+    ``s2s_prob`` on the final-stage probabilities, each passed as it is.
     """
     frames, classes = timestamps.frames, timestamps.labels
     pairs = range(len(frames) - 1)
+    feats, probs = outputs.penultimate, outputs.probs[-1]
     if method == "fb":
-        feats = outputs.penultimate
         return change.fb_boundaries(feats, timestamps, feats.shape[0])
     if method == "s2s_features":
-        feats = np.asarray(outputs.penultimate, dtype=np.float64)
         bounds = [change.s2s_boundary(feats, int(frames[i]), int(frames[i + 1])) for i in pairs]
     elif method == "s2s_prob":
-        probs = np.asarray(outputs.probs[-1], dtype=np.float64)
         bounds = [
             change.s2s_boundary_prob(
                 probs, int(classes[i]), int(frames[i]), int(classes[i + 1]), int(frames[i + 1])

@@ -104,6 +104,53 @@ def test_long_window_matches_oracle_best_split(span_start, cand_lo, cand_hi, spa
 
 
 # ---------------------------------------------------------------------------
+# float32 input
+
+@pytest.mark.parametrize("offset", [0.0, OFFSET])
+def test_float32_input_matches_its_float64_widening(offset):
+    rng = np.random.default_rng(113)
+    for _ in range(60):
+        num_frames = int(rng.integers(6, 60))
+        dim = int(rng.integers(1, 6))
+        feats = (offset + rng.standard_normal((num_frames, dim))).astype(np.float32)
+        probs = rng.dirichlet(np.ones(3), size=num_frames).astype(np.float32)
+        count = int(rng.integers(2, min(6, num_frames) + 1))
+        frames = np.sort(rng.choice(num_frames, size=count, replace=False))
+        ts = _ts(frames, rng.integers(0, 3, size=count))
+        left, right = int(frames[0]), int(frames[-1])
+        wide_feats, wide_probs = feats.astype(np.float64), probs.astype(np.float64)
+        np.testing.assert_array_equal(
+            change.fb_boundaries(feats, ts, num_frames),
+            change.fb_boundaries(wide_feats, ts, num_frames),
+        )
+        assert change.s2s_boundary(feats, left, right) == (
+            change.s2s_boundary(wide_feats, left, right)
+        )
+        assert change.s2s_boundary_prob(probs, 0, left, 2, right) == (
+            change.s2s_boundary_prob(wide_probs, 0, left, 2, right)
+        )
+
+
+def test_split_energies_reads_the_callers_array(monkeypatch):
+    # each split widens only its own window; no whole-video float64 copy is made
+    feats = np.random.default_rng(127).standard_normal((40, 4)).astype(np.float32)
+    ts = _ts([3, 15, 30], [0, 1, 2])
+    want = change.fb_boundaries(feats, ts, 40), change.s2s_boundary(feats, 3, 15)
+    original = change._split_energies
+    seen = []
+
+    def spy(array, *args):
+        seen.append(array)
+        return original(array, *args)
+
+    monkeypatch.setattr(change, "_split_energies", spy)
+    np.testing.assert_array_equal(change.fb_boundaries(feats, ts, 40), want[0])
+    assert change.s2s_boundary(feats, 3, 15) == want[1]
+    assert len(seen) == 2 * 2 + 1
+    assert all(array is feats for array in seen)
+
+
+# ---------------------------------------------------------------------------
 # memory
 
 def test_fb_long_window_memory_bounded():

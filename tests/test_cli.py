@@ -412,6 +412,25 @@ def test_refused_boundaries_leaves_nothing_behind(tmp_path, capsys):
     assert _listing(tmp_path) == before
 
 
+def test_eval_names_the_first_video_without_ground_truth(tmp_path, capsys, monkeypatch):
+    root = _synth(tmp_path / "corpus", **{"--videos": 12})
+    names = (root / "splits" / "test.bundle").read_text().split()
+    assert len(names) == 3
+    for name in names[1:]:
+        (root / "groundTruth" / f"{name}.txt").unlink()
+    model_path = tmp_path / "model.bin"
+    config = net.ModelConfig(input_dim=6, num_classes=3, num_stages=1,
+                             layers_per_stage=2, channels=4)
+    net.save_model(net.init_model(config, seed=0), model_path)
+    forwards = []
+    monkeypatch.setattr(net, "forward", lambda *args: forwards.append(args))
+    assert _run("eval", "--data", root, "--model", model_path, "--split", "test") == 1
+    assert capsys.readouterr().err == (
+        f"error: video '{names[1]}' has no ground-truth labels to evaluate against\n"
+    )
+    assert forwards == []
+
+
 @pytest.mark.parametrize("command", ["eval", "boundaries"])
 def test_model_of_other_feature_dimension_refused_by_name(tmp_path, capsys, monkeypatch, command):
     root = _synth(tmp_path / "corpus", **{"--dim": 7})

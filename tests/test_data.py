@@ -228,6 +228,9 @@ REFUSED_FEATURES = {
     "text": (lambda tmp: _npy(np.array([["a", "b"]])), "dtype <U1 is not a real"),
     "1d": (lambda tmp: _npy(np.ones(4, np.float32)), r"invalid shape \(4,\)"),
     "3d": (lambda tmp: _npy(np.ones((1, 2, 3))), r"invalid shape \(1, 2, 3\)"),
+    "version-4": (
+        lambda tmp: b"\x93NUMPY\x04\x00" + _GOOD[8:], r"unknown \.npy format version 4$"
+    ),
 }
 
 
@@ -558,12 +561,13 @@ def test_corpus_skips_blank_bundle_lines(tmp_path):
         ("mapping.txt", "0 a\n1.0 b\n", r"line 2: malformed <index> '1\.0'$"),
         ("timestamps/v0.txt", "3 a\n12\n", r"line 2: expected '<frame> <name>', got '12'$"),
         ("timestamps/v0.txt", "3 a\nx12 b\n", r"line 2: malformed <frame> 'x12'$"),
-        ("timestamps/v0.txt", "3 a\n12 z\n", r"unknown action name 'z'$"),
+        ("timestamps/v0.txt", "3 a\n12 z\n", r"line 2: unknown action name 'z'$"),
+        ("timestamps/v0.txt", "", "empty timestamp file$"),
         ("groundTruth/v0.txt", "a\n" * 19, "19 labels for 20 feature frames$"),
         ("splits/train.bundle", "\n  \n", "empty split bundle$"),
     ],
     ids=["mapping-no-name", "mapping-number", "stamps-no-name", "stamps-number", "stamps-name",
-         "labels-count", "bundle-empty"],
+         "stamps-empty", "labels-count", "bundle-empty"],
 )
 def test_corpus_refuses_a_bad_text_file(tmp_path, file, text, message):
     root = _small_corpus(tmp_path)

@@ -227,6 +227,19 @@ def test_total_widens_probs_once_for_all_terms(monkeypatch):
     assert all(p is seen[0] for p in seen)
 
 
+def test_total_returns_the_gradient_in_the_probs_dtype():
+    rng = np.random.default_rng(10)
+    probs = _rand_probs(rng, 14, 3).astype(np.float32)
+    target = rng.integers(0, 3, size=14)
+    ts = _ts([2, 7, 12], [0, 1, 2])
+    value, grad = loss.total_loss_grad(probs, target, None, ts)
+    wide_value, wide_grad = loss.total_loss_grad(probs.astype(np.float64), target, None, ts)
+    assert wide_grad.dtype == np.float64
+    assert value == wide_value
+    assert grad.dtype == np.float32
+    np.testing.assert_array_equal(grad, wide_grad.astype(np.float32))
+
+
 def test_losses_nonnegative_random():
     rng = np.random.default_rng(8)
     for _ in range(20):

@@ -508,8 +508,8 @@ def test_network_computes_in_its_parameters_dtype(dtype, monkeypatch):
     outputs = net.forward(model, feats)
     assert {p.dtype for p in outputs.probs} == {np.dtype(dtype)}
     assert outputs.penultimate.dtype == dtype
-    # the float64 loss's dprobs are cast back, so the backward pass is not
-    # promoted; the gradient dicts alone would not show it, as += casts back
+    # the loss hands back dprobs in the network's dtype, so the backward pass is
+    # not promoted; the gradient dicts alone would not show it, as += casts back
     seen = []
     real_softmax, real_conv = net._softmax_backward, net._dilated_conv_backward
 

@@ -303,7 +303,7 @@ def test_pseudo_labels_single_timestamp_whole_video():
 @pytest.mark.parametrize(
     "method, name", [("s2s_features", "s2s_boundary"), ("s2s_prob", "s2s_boundary_prob")]
 )
-def test_pairwise_methods_widen_the_network_output_once(monkeypatch, method, name):
+def test_pairwise_methods_get_the_network_output_as_it_is(monkeypatch, method, name):
     # a trained model is float32, and so are its outputs
     master = net.init_model(_model_config(6, 3), seed=0)
     params = {k: p.astype(np.float32) for k, p in master.params.items()}
@@ -322,9 +322,17 @@ def test_pairwise_methods_widen_the_network_output_once(monkeypatch, method, nam
 
     monkeypatch.setattr(change, name, spy)
     np.testing.assert_array_equal(pipeline.pseudo_boundaries(outputs, ts, method), want)
+    source = outputs.penultimate if method == "s2s_features" else outputs.probs[-1]
     assert len(seen) == 3
-    assert seen[0].dtype == np.float64
-    assert all(array is seen[0] for array in seen)
+    assert all(array is source for array in seen)
+
+
+def test_pseudo_boundaries_refuses_an_unknown_method():
+    model = net.init_model(_model_config(6, 3), seed=0)
+    outputs = net.forward(model, np.random.default_rng(0).standard_normal((12, 6)))
+    ts = data.TimestampSet(np.array([2, 9]), np.array([0, 1]))
+    with pytest.raises(ValueError, match="^unknown boundary method 'bogus'$"):
+        pipeline.pseudo_boundaries(outputs, ts, "bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +389,11 @@ def _cut_labels(pair):
     return feats, labels[:-1]
 
 
+def _no_frames(pair):
+    feats, labels = pair
+    return feats[:0], labels[:0]
+
+
 def _with_nan(pair):
     feats, labels = pair
     feats = np.array(feats)
@@ -419,10 +432,15 @@ STAMP_RANGE = r"^video 1: timestamp class index out of range for 3 classes$"
         ("stamps", "naive", _stamp_out_of_range, STAMP_RANGE),
         ("stamps", "uniform", _stamp_out_of_range, STAMP_RANGE),
         ("stamps", "timestamps", _stamp_out_of_range, STAMP_RANGE),
+        ("train", "naive", _no_frames,
+         r"^video 1: features must be a \(T, D\) array with T >= 1$"),
+        ("stamp list", "naive", lambda stamps: stamps[:-1],
+         "^annotations and dataset differ in length$"),
     ],
     ids=["train-width-full", "train-width-timestamps", "val-width", "val-labels",
          "train-labels-full", "train-nan", "val-nan", "train-class-full",
-         "stamp-class-naive", "stamp-class-uniform", "stamp-class-timestamps"],
+         "stamp-class-naive", "stamp-class-uniform", "stamp-class-timestamps",
+         "train-no-frames", "stamp-list-length"],
 )
 def test_unusable_video_refused_before_training(monkeypatch, where, mode, edit, match):
     pairs = _corpus(noise=0.1, videos=3, seed=12)
@@ -432,8 +450,10 @@ def test_unusable_video_refused_before_training(monkeypatch, where, mode, edit, 
         pairs[1] = edit(pairs[1])
     elif where == "val":
         val_data[1] = edit(val_data[1])
-    else:
+    elif where == "stamps":
         annotations[1] = edit(annotations[1])
+    else:
+        annotations = edit(annotations)
 
     def untouched(*args, **kwargs):
         raise AssertionError("trained before checking every video")
