@@ -33,6 +33,7 @@ every model ``load_model`` reads, is float32.
 """
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -169,17 +170,26 @@ def _taps(num_frames: int, kernel: int, dilation: int):
             yield j, slice(lo, hi), slice(lo + shift, hi + shift)
 
 
+def _relu_backward(dr, z):
+    """``np.where(z > 0.0, dr, 0.0)`` bit for bit, written into ``dr``, which it returns."""
+    # np.where branches on every element's sign, which is close to random; a mask does not
+    bits = dr.view(f"u{dr.itemsize}")
+    bits &= -(z > 0.0).astype(bits.dtype)  # all ones where z > 0, else 0
+    return dr
+
+
 def _dilated_conv(x, w, b, dilation: int):
     # x: (T, Cin), w: (Cout, Cin, k) -> (T, Cout)
-    out = np.broadcast_to(b, (x.shape[0], w.shape[0])).copy()
+    out = np.empty((x.shape[0], w.shape[0]), b.dtype)
+    out[...] = b
     for j, rows, src in _taps(x.shape[0], w.shape[2], dilation):
         out[rows] += x[src] @ w[:, :, j].T
     return out
 
 
 def _dilated_conv_backward(dy, x, w, dilation: int):
-    dw = np.zeros_like(w)  # a tap left out reads only zeros: its slice stays 0
-    dx = np.zeros_like(x)
+    dw = np.zeros(w.shape, w.dtype)  # a tap left out reads only zeros: its slice stays 0
+    dx = np.zeros(x.shape, x.dtype)
     for j, rows, src in _taps(x.shape[0], w.shape[2], dilation):
         dw[:, :, j] = dy[rows].T @ x[src]
         dx[src] += dy[rows] @ w[:, :, j]
@@ -217,12 +227,12 @@ def _stack_backward(params, prefix: str, cache, dh, grads):
         dilation = 1 << layer
         grads[f"{prefix}.l{layer}.pw"] += dh.T @ r
         grads[f"{prefix}.l{layer}.pb"] += dh.sum(axis=0)
-        dr = dh @ params[f"{prefix}.l{layer}.pw"]
-        dz = np.where(z > 0.0, dr, 0.0)
+        dz = _relu_backward(dh @ params[f"{prefix}.l{layer}.pw"], z)
         dw, db, dx = _dilated_conv_backward(dz, h_in, params[f"{prefix}.l{layer}.dw"], dilation)
         grads[f"{prefix}.l{layer}.dw"] += dw
         grads[f"{prefix}.l{layer}.db"] += db
-        dh = dh + dx  # residual path plus conv path
+        dx += dh  # conv path plus residual path; dh may be the caller's array
+        dh = dx
     grads[f"{prefix}.proj.w"] += dh.T @ cache["x"]
     grads[f"{prefix}.proj.b"] += dh.sum(axis=0)
     return dh  # at the projection's output; the stack's input gradient is dh @ proj.w
@@ -267,7 +277,7 @@ def _forward(model: ModelState, features, keep: bool = True):
 
 def _backward(model: ModelState, stage_caches, dprobs_list):
     config, params = model.config, model.params
-    grads = {key: np.zeros_like(value) for key, value in params.items()}
+    grads = {key: np.zeros(value.shape, value.dtype) for key, value in params.items()}
     above = []  # (prefix, projection-output gradient) of each stack of the stage above
     for stage in range(config.num_stages - 1, -1, -1):
         cache = stage_caches[stage]
@@ -375,6 +385,10 @@ def save_model(model: ModelState, path) -> None:
     float32 little-endian in ``param_shapes`` order, and nothing else; the
     file is 36 + 4 * (number of parameters) bytes. Optimizer state is not
     saved.
+
+    The bytes go to a temporary file beside ``path``, which then replaces
+    ``path``: a save that fails or is killed leaves the previous file whole,
+    and one that fails removes its temporary file.
     """
     config = model.config
     header = np.array(
@@ -393,8 +407,15 @@ def save_model(model: ModelState, path) -> None:
     chunks = [CHECKPOINT_MAGIC, header.tobytes()]
     for key in param_shapes(config):
         chunks.append(model.params[key].astype("<f4").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(chunks))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_model(path) -> ModelState:

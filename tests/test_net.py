@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import re
 import tracemalloc
 import warnings
@@ -348,6 +349,64 @@ def test_dilated_conv_backward_skipped_tap_has_zero_weight_gradient(num_frames, 
     for j in range(kernel):
         assert dw[:, :, j].any() == (j == centre), j
     assert np.array_equal(dx, dy @ w[:, :, centre])
+
+
+# per dtype: its unsigned view, then the bits of the smallest subnormal, a NaN
+# with a payload and a negative NaN
+_RELU_BITS = {
+    np.float32: ("<u4", 0x00000001, 0x7FC00001, 0xFFC00000),
+    np.float64: ("<u8", 0x1, 0x7FF8000000000001, 0xFFF8000000000000),
+}
+
+
+def _relu_case(dtype):
+    uint, tiny, nan, neg_nan = _RELU_BITS[dtype]
+    subnormal, nan, neg_nan = np.array([tiny, nan, neg_nan], dtype=uint).view(dtype)
+    specials = [0.0, -0.0, np.inf, -np.inf, nan, neg_nan, subnormal, -subnormal, 1.5, -2.5]
+    z_values = np.array([*specials, np.finfo(dtype).tiny, -np.finfo(dtype).eps], dtype=dtype)
+    dr_values = np.array(specials, dtype=dtype)
+    dr, z = np.meshgrid(dr_values, z_values, indexing="ij")
+    return np.ascontiguousarray(dr), np.ascontiguousarray(z), uint
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_backward_is_the_where_select_bit_for_bit(dtype):
+    # signed zeros, infinities, NaN payloads and subnormals in either array
+    dr, z, uint = _relu_case(dtype)
+    want = np.where(z > 0.0, dr, 0.0)
+    assert want.dtype == dtype
+    got = net._relu_backward(dr, z)
+    assert got is dr  # the result is dr itself, masked in place
+    assert np.array_equal(got.view(uint), want.view(uint))
+    # the same on a random (T, C) layer, where z's sign is close to random
+    rng = np.random.default_rng(12)
+    z = rng.standard_normal((257, 19)).astype(dtype)
+    dr = rng.standard_normal((257, 19)).astype(dtype)
+    want = np.where(z > 0.0, dr, 0.0)
+    assert np.array_equal(net._relu_backward(dr, z).view(uint), want.view(uint))
+
+
+def test_loss_and_grad_bit_equal_with_the_where_select(monkeypatch):
+    rng = np.random.default_rng(16)
+    cases = []
+    for trial in range(12):
+        dtype = (np.float32, np.float64)[trial % 2]
+        config = _random_config(rng)
+        config = dataclasses.replace(config, num_stages=max(2, config.num_stages))
+        model = _with_dtype(net.init_model(config, seed=trial), dtype)
+        num_frames = int(rng.integers(1, 120))
+        feats = rng.standard_normal((num_frames, config.input_dim)).astype(dtype)
+        target = rng.integers(0, config.num_classes, size=num_frames)
+        stamps = np.unique(rng.integers(0, num_frames, size=3))
+        ts = _ts(stamps, target[stamps])
+        cases.append((model, feats, target, ts, net.loss_and_grad(model, feats, target, None, ts)))
+    monkeypatch.setattr(net, "_relu_backward", lambda dr, z: np.where(z > 0.0, dr, 0.0))
+    for trial, (model, feats, target, ts, (value, grads)) in enumerate(cases):
+        want_value, want = net.loss_and_grad(model, feats, target, None, ts)
+        assert value == want_value, trial
+        assert grads.keys() == want.keys()
+        for key, grad in grads.items():
+            assert grad.dtype == want[key].dtype and grad.tobytes() == want[key].tobytes(), (trial, key)
 
 
 def test_softmax_argmax_invariant_under_temperature():
@@ -745,3 +804,37 @@ def test_load_model_closes_its_file(tmp_path):
         warnings.simplefilter("always")
         net.load_model(path)
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+@pytest.mark.parametrize("failure", ["write", "replace"])
+def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch, failure):
+    path, before = _saved_bytes(tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tsm"]
+    if failure == "write":
+        real_open = open
+
+        class FullDisk:
+            def __init__(self, file, mode):
+                self.fh = real_open(file, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:10])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(net, "open", FullDisk, raising=False)
+    else:
+
+        def refuse(src, dst):
+            raise OSError(errno.EIO, "replace failed")
+
+        monkeypatch.setattr(net.os, "replace", refuse)
+    with pytest.raises(OSError):
+        net.save_model(net.init_model(_tiny_config(), seed=2), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tsm"]
