@@ -7,7 +7,7 @@ segment starts at b[i] + 1.
 
 import numpy as np
 
-from .data import TimestampSet
+from .data import TimestampSet, _check_classes
 
 BOUNDARY_METHODS = ("fb", "s2s_features", "s2s_prob")
 
@@ -114,9 +114,7 @@ def s2s_boundary_prob(probs, left_class: int, left: int, right_class: int, right
         raise ValueError("non-finite value in input probabilities")
     num_frames, num_classes = probs.shape
     _check_pair(left, right, num_frames)
-    for cls in (left_class, right_class):
-        if not 0 <= cls < num_classes:
-            raise ValueError(f"class index {cls} out of range for {num_classes} classes")
+    _check_classes("segment", np.array((left_class, right_class)), num_classes)
     count = right - left
     idx = np.arange(count)
     mean_l = np.cumsum(probs[left:right, left_class], dtype=np.float64) / (idx + 1)
@@ -185,9 +183,6 @@ def labels_from_boundaries(
         np.any(boundaries < frames[:-1]) or np.any(boundaries >= frames[1:])
     ):
         raise ValueError("inconsistent boundary ordering: need t_i <= b_i < t_{i+1}")
-    labels = np.empty(num_frames, dtype=np.int64)
     edges = np.concatenate(([0], boundaries + 1, [num_frames]))
-    for i in range(len(frames)):
-        labels[edges[i] : edges[i + 1]] = classes[i]
-    return labels
+    return np.repeat(classes, np.diff(edges))
 

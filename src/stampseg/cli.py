@@ -17,6 +17,10 @@ from .loss import LossWeights
 # subcommands
 
 def cmd_synth(args) -> int:
+    # stale files, timestamps/ among them, would be read with the new corpus
+    out = Path(args.out)
+    if out.is_dir() and any(out.iterdir()):
+        raise ValueError(f"--out {out}: directory is not empty")
     spec = data.SyntheticSpec(
         videos=args.videos,
         num_classes=args.classes,
@@ -291,7 +295,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError, FloatingPointError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -43,16 +43,6 @@ class ActionVocab:
     def num_classes(self) -> int:
         return len(self.names)
 
-    @property
-    def entries(self) -> list[tuple[int, str]]:
-        return list(enumerate(self.names))
-
-    def name_of(self, index: int) -> str:
-        return self.names[index]
-
-    def index_of(self, name: str) -> int:
-        return self.names.index(name)
-
 
 @dataclass
 class TimestampSet:
@@ -156,7 +146,7 @@ def load_vocab(path) -> ActionVocab:
 
 
 def write_vocab(vocab: ActionVocab, path) -> None:
-    text = "".join(f"{i} {n}\n" for i, n in vocab.entries)
+    text = "".join(f"{i} {n}\n" for i, n in enumerate(vocab.names))
     Path(path).write_text(text, encoding="utf-8")
 
 
@@ -247,7 +237,7 @@ def load_labels(path, vocab: ActionVocab) -> np.ndarray:
 
 
 def write_labels(labels: np.ndarray, vocab: ActionVocab, path) -> None:
-    text = "".join(vocab.name_of(int(c)) + "\n" for c in labels)
+    text = "".join(vocab.names[int(c)] + "\n" for c in labels)
     Path(path).write_text(text, encoding="utf-8")
 
 
@@ -270,7 +260,7 @@ def load_timestamps(path, vocab: ActionVocab, num_frames: int | None = None) -> 
 
 def write_timestamps(ts: TimestampSet, vocab: ActionVocab, path) -> None:
     text = "".join(
-        f"{int(t)} {vocab.name_of(int(c))}\n" for t, c in zip(ts.frames, ts.labels)
+        f"{int(t)} {vocab.names[int(c)]}\n" for t, c in zip(ts.frames, ts.labels)
     )
     Path(path).write_text(text, encoding="utf-8")
 
@@ -283,6 +273,12 @@ def _check_labels(labels) -> np.ndarray:
     if labels.ndim != 1 or len(labels) == 0:
         raise ValueError("labels must be a non-empty 1-D array")
     return labels
+
+
+def _check_classes(kind: str, classes: np.ndarray, num_classes: int) -> None:
+    """Refuse a non-empty array of class indices with one outside [0, num_classes)."""
+    if classes.min() < 0 or classes.max() >= num_classes:
+        raise ValueError(f"{kind} class index out of range for {num_classes} classes")
 
 
 def segments_from_labels(labels: np.ndarray) -> list[tuple[int, int, int]]:

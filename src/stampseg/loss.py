@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TimestampSet
+from .data import TimestampSet, _check_classes
 
 LOG_FLOOR = 1e-8
 
@@ -40,29 +40,22 @@ def _check_probs(probs) -> np.ndarray:
     return probs
 
 
-def _safe_log(values: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(values, LOG_FLOOR))
-
-
-def _dlog(values: np.ndarray) -> np.ndarray:
-    grad = np.zeros_like(values)
-    above = values > LOG_FLOOR
-    grad[above] = 1.0 / values[above]
-    return grad
-
-
-def _check_classes(kind: str, classes: np.ndarray, num_classes: int) -> None:
-    """Refuse a non-empty array of class indices with one outside [0, num_classes)."""
-    if classes.min() < 0 or classes.max() >= num_classes:
-        raise ValueError(f"{kind} class index out of range for {num_classes} classes")
+def _clamped_log(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log(max(p, LOG_FLOOR)) and its derivative, 1 / p above the floor and 0 at or below it."""
+    dlog = np.divide(1.0, probs, out=np.zeros_like(probs), where=probs > LOG_FLOOR)
+    return np.log(np.maximum(probs, LOG_FLOOR)), dlog
 
 
 def _mask_indices(mask, num_frames: int) -> np.ndarray:
+    """The mask's frames, ascending; refuses a frame outside the video or listed twice."""
     if mask is None:
         return np.arange(num_frames)
     idx = np.asarray(sorted(int(t) for t in mask), dtype=np.int64)
     if len(idx) and (idx[0] < 0 or idx[-1] >= num_frames):
         raise ValueError(f"mask frame outside [0, {num_frames})")
+    repeats = np.flatnonzero(idx[1:] == idx[:-1])
+    if len(repeats):
+        raise ValueError(f"mask lists frame {idx[repeats[0]]} more than once")
     return idx
 
 
@@ -73,7 +66,8 @@ def cls_loss_grad(probs, target, mask=None) -> tuple[float, np.ndarray]:
     """Mean negative log probability of the target class over the masked frames.
 
     ``mask`` is an optional set of frame indices; None means every frame, an
-    empty mask yields loss 0. Averaging is over the mask size.
+    empty mask yields loss 0, and a frame listed twice is refused. Averaging
+    is over the mask size.
     """
     probs = _check_probs(probs)
     num_frames, num_classes = probs.shape
@@ -86,9 +80,9 @@ def cls_loss_grad(probs, target, mask=None) -> tuple[float, np.ndarray]:
         return 0.0, grad
     picked = target[idx]
     _check_classes("target", picked, num_classes)
-    chosen = probs[idx, picked]
-    value = float(-_safe_log(chosen).sum() / len(idx))
-    grad[idx, picked] = -_dlog(chosen) / len(idx)
+    logs, dlogs = _clamped_log(probs[idx, picked])
+    value = float(-logs.sum() / len(idx))
+    grad[idx, picked] = -dlogs / len(idx)
     return value, grad
 
 
@@ -106,7 +100,7 @@ def tmse_loss_grad(probs, tau: float = 4.0) -> tuple[float, np.ndarray]:
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"tau must be finite and positive, got {tau}")
     num_frames, num_classes = probs.shape
-    logs = _safe_log(probs)
+    logs, dlogs = _clamped_log(probs)
     diff = logs[1:] - logs[:-1]
     clipped = np.minimum(np.abs(diff), tau)
     scale = 1.0 / (num_frames * num_classes)
@@ -117,7 +111,7 @@ def tmse_loss_grad(probs, tau: float = 4.0) -> tuple[float, np.ndarray]:
     grad_logs = np.zeros_like(logs)
     grad_logs[1:] += coef
     grad_logs[:-1] -= coef
-    return value, grad_logs * _dlog(probs)
+    return value, grad_logs * dlogs
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +132,7 @@ def conf_loss_grad(probs, timestamps: TimestampSet) -> tuple[float, np.ndarray]:
     frames, classes = timestamps.frames, timestamps.labels
     _check_classes("timestamp", classes, num_classes)
     count = len(frames)
-    logs = _safe_log(probs)
+    logs, dlogs = _clamped_log(probs)
     grad_logs = np.zeros_like(logs)
     total = 0.0
     for i in range(count):
@@ -158,7 +152,7 @@ def conf_loss_grad(probs, timestamps: TimestampSet) -> tuple[float, np.ndarray]:
         grad_logs[t, cls] += sign
         grad_logs[t - 1, cls] -= sign
     norm = max(1.0, 2.0 * float(frames[-1] - frames[0]))
-    return total / norm, (grad_logs / norm) * _dlog(probs)
+    return total / norm, (grad_logs / norm) * dlogs
 
 
 # ---------------------------------------------------------------------------

@@ -8,20 +8,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import segments_from_labels
+from .data import _check_labels, segments_from_labels
 
 F1_THRESHOLDS = (10, 25, 50)
 
 
 def _check_pair(pred, gt):
-    pred = np.asarray(pred)
-    gt = np.asarray(gt)
-    if pred.ndim != 1 or gt.ndim != 1:
-        raise ValueError("label sequences must be 1-D")
+    pred, gt = _check_labels(pred), _check_labels(gt)
     if len(pred) != len(gt):
         raise ValueError(f"length mismatch: {len(pred)} predicted vs {len(gt)} true frames")
-    if len(pred) == 0:
-        raise ValueError("empty label sequence")
     return pred, gt
 
 

@@ -421,14 +421,15 @@ def save_model(model: ModelState, path) -> None:
 def load_model(path) -> ModelState:
     """Read a ``save_model`` checkpoint; parameters come back as the float32 it stores.
 
-    The arrays are writable copies, bit-equal to the file, so the model runs
-    its forward pass in float32 and saving it again writes the same bytes.
+    The parameters are writable views of one float32 array, bit-equal to the
+    file, so the model runs its forward pass in float32 and saving it again
+    writes the same bytes.
 
     Refuses a file with another magic (an older format included), a short
-    header or payload, or any size other than the one its config implies.
+    header, or any size other than the one its config implies.
     """
     raw = Path(path).read_bytes()
-    if len(raw) < 4 or raw[:4] != CHECKPOINT_MAGIC:
+    if raw[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad magic, not a model checkpoint")
     if len(raw) < 4 + 8 * 4:
         raise ValueError(f"{path}: truncated header")
@@ -452,19 +453,13 @@ def load_model(path) -> ModelState:
         raise ValueError(
             f"{path}: truncated parameter payload, header needs at least {least} bytes"
         )
-    offset = 4 + 8 * 4
-    params: dict[str, np.ndarray] = {}
-    for key, shape in param_shapes(config).items():
-        size = math.prod(shape)
-        end = offset + size * 4
-        if end > len(raw):
-            raise ValueError(f"{path}: truncated parameter payload at {key}")
-        params[key] = (
-            np.frombuffer(raw, dtype="<f4", count=size, offset=offset)
-            .reshape(shape)
-            .astype(np.float32)
-        )
-        offset = end
-    if len(raw) != offset:
-        raise ValueError(f"{path}: checkpoint size mismatch")
+    shapes = param_shapes(config)
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    need, have = 4 + 8 * 4 + 4 * sum(sizes), len(raw)
+    if have != need:
+        what = "truncated parameter payload" if have < need else "checkpoint size mismatch"
+        raise ValueError(f"{path}: {what}, expected {need} bytes, found {have}")
+    flat = np.frombuffer(raw, dtype="<f4", offset=4 + 8 * 4).astype(np.float32)
+    pieces = np.split(flat, np.cumsum(sizes)[:-1])
+    params = {key: piece.reshape(shape) for (key, shape), piece in zip(shapes.items(), pieces)}
     return ModelState(config=config, params=params)

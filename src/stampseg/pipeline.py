@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import change, net
-from .data import TimestampSet
-from .loss import LossWeights, _check_classes
+from .data import TimestampSet, _check_classes
+from .loss import LossWeights
 from .metrics import MetricsReport, report
 
 SUPERVISION_MODES = ("timestamps", "full", "naive", "uniform")
@@ -113,12 +113,6 @@ def pseudo_labels(
     )
 
 
-def _sparse_target(ts: TimestampSet, num_frames: int) -> np.ndarray:
-    target = np.zeros(num_frames, dtype=np.int64)
-    target[ts.frames] = ts.labels
-    return target
-
-
 def _check_video(where: str, model: net.ModelState, feats, labels) -> np.ndarray:
     """The features as ``model`` takes them, or a refusal naming the video.
 
@@ -171,7 +165,7 @@ def train(
     # one (features, stamps, target, mask) per video; timestamps mode uses its target in warmup
     videos = []
     for i, ((feats, labels), ts) in enumerate(zip(dataset, annotations)):
-        if mode in ("timestamps", "naive", "uniform") and ts is None:
+        if mode != "full" and ts is None:
             raise ValueError(f"supervision mode {mode!r} needs timestamps for video {i}")
         if mode == "full" and labels is None:
             raise ValueError(f"supervision mode 'full' needs frame labels for video {i}")
@@ -191,7 +185,9 @@ def train(
             bounds = change.uniform_boundaries(ts, num_frames)
             target, mask = change.labels_from_boundaries(ts, bounds, num_frames), None
         else:
-            target, mask = _sparse_target(ts, num_frames), ts.frames
+            target = np.zeros(num_frames, dtype=np.int64)
+            target[ts.frames] = ts.labels
+            mask = ts.frames
         videos.append((feats, ts, target, mask))
     for i, (feats, labels) in enumerate(val_data or ()):
         if labels is None:

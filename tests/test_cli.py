@@ -1,5 +1,8 @@
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +90,19 @@ def test_synth_refuses_test_frac_outside_unit_interval(tmp_path, capsys, frac):
     assert _run("synth", "--out", root, "--videos", 10, "--test-frac", frac) == 1
     assert f"--test-frac {float(frac)} must lie in (0, 1)" in capsys.readouterr().err
     assert not root.exists()
+
+
+def test_synth_refuses_a_non_empty_directory(tmp_path, capsys):
+    (tmp_path / "empty").mkdir()
+    _synth(tmp_path / "empty")
+    root = _synth(tmp_path / "corpus")
+    assert _run("annotate", "--data", root) == 0
+    before = _tree_digest(root)
+    capsys.readouterr()
+    # the old timestamps/ would otherwise be read with the new videos of the same names
+    assert _run("synth", "--out", root, "--seed", 8) == 1
+    assert capsys.readouterr().err == f"error: --out {root}: directory is not empty\n"
+    assert _tree_digest(root) == before
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +516,15 @@ def test_non_utf8_text_file_is_named(tmp_path, capsys, which):
     capsys.readouterr()
     assert _run("annotate", "--data", root, "--strategy", "center") == 1
     assert capsys.readouterr().err == f"error: {path}: not UTF-8 text\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "stampseg", "--help"], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: stampseg")
 
 
 def test_console_script_installed():

@@ -16,9 +16,7 @@ def test_load_vocab_roundtrip(tmp_path):
     path.write_text("0 pour\n1 stir\n2 cut\n", encoding="utf-8")
     vocab = data.load_vocab(path)
     assert vocab.num_classes == 3
-    assert vocab.entries == [(0, "pour"), (1, "stir"), (2, "cut")]
-    assert vocab.index_of("stir") == 1
-    assert vocab.name_of(2) == "cut"
+    assert vocab.names == ("pour", "stir", "cut")
 
 
 def test_load_vocab_out_of_order(tmp_path):
@@ -57,7 +55,7 @@ def test_vocab_name_with_spaces(tmp_path):
     path = tmp_path / "mapping.txt"
     path.write_text("0 cut tomato\n1 peel cucumber\n", encoding="utf-8")
     vocab = data.load_vocab(path)
-    assert vocab.name_of(0) == "cut tomato"
+    assert vocab.names == ("cut tomato", "peel cucumber")
 
 
 # ---------------------------------------------------------------------------

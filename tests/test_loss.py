@@ -45,6 +45,18 @@ def test_cls_empty_mask_zero():
     assert not grad.any()
 
 
+def test_cls_refuses_a_mask_that_lists_a_frame_twice():
+    probs = np.array([[0.9, 0.1], [0.5, 0.5], [0.2, 0.8], [0.3, 0.7]])
+    target = np.array([0, 0, 1, 1])
+    with pytest.raises(ValueError, match="^mask lists frame 3 more than once$"):
+        loss.cls_loss_grad(probs, target, mask=[3, 3, 1])
+    # a sorted array and a set of the same frames are the same mask
+    want = loss.cls_loss_grad(probs, target, mask={3, 1})
+    got = loss.cls_loss_grad(probs, target, mask=np.array([1, 3]))
+    assert got[0] == want[0]
+    np.testing.assert_array_equal(got[1], want[1])
+
+
 def test_cls_matches_oracle_random():
     rng = np.random.default_rng(1)
     for _ in range(40):

@@ -476,6 +476,13 @@ def test_empty_mask_gives_zero_loss_and_grads():
         assert not g.any()
 
 
+def test_mask_listing_a_frame_twice_is_refused():
+    model = net.init_model(_tiny_config(), seed=1)
+    feats = np.random.default_rng(0).standard_normal((10, 5))
+    with pytest.raises(ValueError, match="^mask lists frame 3 more than once$"):
+        net.loss_and_grad(model, feats, np.zeros(10, dtype=int), [3, 3, 1], None)
+
+
 def test_saturated_correct_prediction_near_zero():
     model = net.init_model(_tiny_config(num_stages=1), seed=3)
     feats = np.random.default_rng(5).standard_normal((15, 5))
