@@ -16,6 +16,13 @@ from .loss import LossWeights
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _require(records, field: str, what: str) -> None:
+    """Refuse the split at its first video whose ``field`` (labels or timestamps) is missing."""
+    for rec in records:
+        if getattr(rec, field) is None:
+            raise ValueError(f"video {rec.name!r} has no {what}")
+
+
 def cmd_synth(args) -> int:
     # stale files, timestamps/ among them, would be read with the new corpus
     out = Path(args.out)
@@ -58,10 +65,9 @@ def cmd_annotate(args) -> int:
             ) from None
     vocab, records = data.load_corpus(args.data, split=args.split)
     # sample every video before the first write, so a refused run leaves nothing behind
+    _require(records, "labels", "ground-truth labels to sample from")
     stamps = []
     for rec in records:
-        if rec.labels is None:
-            raise ValueError(f"video {rec.name!r} has no ground-truth labels to sample from")
         if fraction is not None:
             stamps.append(data.sample_timestamps_fraction(rec.labels, fraction, seed=args.seed))
         else:
@@ -111,9 +117,8 @@ def cmd_train(args) -> int:
     vocab, records = data.load_corpus(args.data, split=args.split)
     dataset = [(r.features, r.labels) for r in records]
     annotations = [r.timestamps for r in records]
-    if args.mode != "full" and any(ts is None for ts in annotations):
-        missing = [r.name for r in records if r.timestamps is None]
-        raise ValueError(f"mode {args.mode!r} needs timestamps; missing for {missing[:3]}")
+    field = "labels" if args.mode == "full" else "timestamps"
+    _require(records, field, f"{field} for mode {args.mode!r}")
     model_config = dataclasses.replace(
         model_config, input_dim=records[0].features.shape[1], num_classes=vocab.num_classes
     )
@@ -121,6 +126,7 @@ def cmd_train(args) -> int:
     val_data = None
     if args.val is not None:
         _, val_records = data.load_corpus(args.data, split=args.val)
+        _require(val_records, "labels", "ground-truth labels to validate against")
         val_data = [(r.features, r.labels) for r in val_records]
 
     on_epoch = None
@@ -144,10 +150,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model_for(path, records) -> net.ModelState:
-    """The checkpoint at ``path``, refused by name if a video's feature width differs."""
+def _load_model_for(path, vocab, records) -> net.ModelState:
+    """The checkpoint at ``path``, refused by name unless its class count and widths fit."""
     model = net.load_model(path)
-    input_dim = model.config.input_dim
+    num_classes, input_dim = model.config.num_classes, model.config.input_dim
+    if num_classes != vocab.num_classes:
+        raise ValueError(
+            f"{path}: model has {num_classes} classes, mapping.txt has {vocab.num_classes}"
+        )
     for rec in records:
         if rec.features.shape[1] != input_dim:
             raise ValueError(
@@ -161,12 +171,10 @@ def cmd_eval(args) -> int:
     if (args.model is None) == (args.pred is None):
         raise ValueError("pass exactly one of --model or --pred")
     vocab, records = data.load_corpus(args.data, split=args.split)
-    for rec in records:
-        if rec.labels is None:
-            raise ValueError(f"video {rec.name!r} has no ground-truth labels to evaluate against")
+    _require(records, "labels", "ground-truth labels to evaluate against")
     gts = [r.labels for r in records]
     if args.model is not None:
-        model = _load_model_for(args.model, records)
+        model = _load_model_for(args.model, vocab, records)
         dataset = [(r.features, r.labels) for r in records]
         rep = pipeline.evaluate(model, dataset)
     else:
@@ -190,10 +198,8 @@ def cmd_eval(args) -> int:
 
 def cmd_boundaries(args) -> int:
     vocab, records = data.load_corpus(args.data, split=args.split)
-    for rec in records:
-        if rec.timestamps is None:
-            raise ValueError(f"video {rec.name!r} has no timestamps")
-    model = _load_model_for(args.model, records)
+    _require(records, "timestamps", "timestamps")
+    model = _load_model_for(args.model, vocab, records)
     # every video's result before the first write, so a refused run leaves nothing behind
     results = []
     for rec in records:

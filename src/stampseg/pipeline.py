@@ -113,17 +113,24 @@ def pseudo_labels(
     )
 
 
-def _check_video(where: str, model: net.ModelState, feats, labels) -> np.ndarray:
+def _check_video(where: str, model: net.ModelState, feats, labels=None, stamps=None) -> np.ndarray:
     """The features as ``model`` takes them, or a refusal naming the video.
 
-    Refuses what ``net._check_input`` refuses, and labels (when given) not T long.
+    Refuses what ``net._check_input`` refuses, and labels or stamps (when
+    given) that do not fit the video's frames or the model's classes.
     """
+    num_classes = model.config.num_classes
     try:
         feats = net._check_input(model, feats)
+        if labels is not None:
+            if len(labels) != len(feats):
+                raise ValueError(f"{len(labels)} labels for {len(feats)} frames")
+            _check_classes("target", np.asarray(labels), num_classes)
+        if stamps is not None:
+            stamps.check_within(len(feats))
+            _check_classes("timestamp", stamps.labels, num_classes)
     except ValueError as err:
         raise ValueError(f"{where}: {err}") from None
-    if labels is not None and len(labels) != len(feats):
-        raise ValueError(f"{where}: {len(labels)} labels for {len(feats)} frames")
     return feats
 
 
@@ -145,7 +152,7 @@ def train(
     ``dataset`` is a non-empty sequence of (features, labels-or-None) pairs
     and ``annotations`` a parallel sequence of timestamp sets (or None per
     video, or None entirely). Float32 features are used as they are; others
-    are converted to float32 once. ``val_data`` is an optional (features,
+    are converted to float32 once. ``val_data`` is an optional non-empty (features,
     labels) list evaluated after each epoch. ``on_epoch(epoch, model, entry)``
     runs after each epoch when given. Validation, ``on_epoch`` and the return
     value all see the float32 model that ``net.save_model`` writes bit for
@@ -159,7 +166,6 @@ def train(
     if len(annotations) != len(dataset):
         raise ValueError("annotations and dataset differ in length")
     mode = config.supervision
-    num_classes = model_config.num_classes
     master = net.init_model(model_config, config.seed)
     model = _float32(master)
     # one (features, stamps, target, mask) per video; timestamps mode uses its target in warmup
@@ -169,16 +175,8 @@ def train(
             raise ValueError(f"supervision mode {mode!r} needs timestamps for video {i}")
         if mode == "full" and labels is None:
             raise ValueError(f"supervision mode 'full' needs frame labels for video {i}")
-        feats = _check_video(f"video {i}", model, feats, labels if mode == "full" else None)
+        feats = _check_video(f"video {i}", model, feats, labels if mode == "full" else None, ts)
         num_frames = feats.shape[0]
-        try:
-            if ts is not None:
-                ts.check_within(num_frames)
-                _check_classes("timestamp", ts.labels, num_classes)
-            if mode == "full":
-                _check_classes("target", np.asarray(labels), num_classes)
-        except ValueError as err:
-            raise ValueError(f"video {i}: {err}") from None
         if mode == "full":
             target, mask = labels, None
         elif mode == "uniform":
@@ -189,6 +187,10 @@ def train(
             target[ts.frames] = ts.labels
             mask = ts.frames
         videos.append((feats, ts, target, mask))
+    if val_data is not None:
+        val_data = list(val_data)
+        if not val_data:
+            raise ValueError("val_data is empty")
     for i, (feats, labels) in enumerate(val_data or ()):
         if labels is None:
             raise ValueError(f"val_data video {i} has no frame labels")

@@ -29,6 +29,12 @@ def test_s2s_invalid_range():
         change.s2s_boundary(feats, 3, 3)
     with pytest.raises(ValueError):
         change.s2s_boundary(feats, 0, 5)
+    with pytest.raises(ValueError, match=r"^features must be a \(T, F\) array with T >= 1$"):
+        change.s2s_boundary(np.zeros(5), 0, 3)
+    with pytest.raises(ValueError, match=r"^probs must be a \(T, C\) array$"):
+        change.s2s_boundary_prob(np.zeros(5), 0, 0, 1, 3)
+    with pytest.raises(ValueError, match="^features have 5 frames, expected 6$"):
+        change.fb_boundaries(feats, _ts([0, 3], [0, 1]), 6)
 
 
 def test_s2s_matches_oracle_random():

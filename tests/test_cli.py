@@ -234,10 +234,29 @@ def test_train_defaults_are_the_config_defaults():
 
 def test_train_missing_timestamps_errors(tmp_path, capsys):
     root = _synth(tmp_path / "corpus")
+    first = (root / "splits" / "train.bundle").read_text().split()[0]
     code = _run("train", "--data", root, "--out", tmp_path / "m.bin",
                 "--mode", "timestamps", "--epochs", 2, "--warmup", 1, *TINY_NET)
     assert code == 1
-    assert "timestamps" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: video '{first}' has no timestamps for mode 'timestamps'\n"
+    )
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_train_names_the_first_video_without_labels(tmp_path, capsys, monkeypatch, split):
+    root = _synth(tmp_path / "corpus", **{"--videos": 12})
+    names = (root / "splits" / f"{split}.bundle").read_text().split()
+    (root / "groundTruth" / f"{names[1]}.txt").unlink()
+    argv = ["--mode", "full"]
+    if split == "train":
+        message = f"video '{names[1]}' has no labels for mode 'full'"
+    else:
+        argv += ["--val", "test"]
+        message = f"video '{names[1]}' has no ground-truth labels to validate against"
+    monkeypatch.setattr(pipeline, "train", lambda *args, **kwargs: pytest.fail("trained"))
+    assert _run("train", "--data", root, "--out", tmp_path / "m.bin", *argv, *TINY_NET) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_train_save_every_writes_checkpoints(tmp_path, capsys):
@@ -465,6 +484,27 @@ def test_model_of_other_feature_dimension_refused_by_name(tmp_path, capsys, monk
     assert _run(command, *argv) == 1
     assert capsys.readouterr().err == (
         f"error: {model_path}: model takes 6-dim features, video '{first}' has 7\n"
+    )
+    assert forwards == []
+    assert not (tmp_path / "pseudo").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "boundaries"])
+def test_model_of_other_class_count_refused_by_name(tmp_path, capsys, monkeypatch, command):
+    root = _synth(tmp_path / "corpus")
+    assert _run("annotate", "--data", root, "--strategy", "center") == 0
+    model_path = tmp_path / "model.bin"
+    config = net.ModelConfig(input_dim=6, num_classes=5, num_stages=1,
+                             layers_per_stage=2, channels=4)
+    net.save_model(net.init_model(config, seed=0), model_path)
+    forwards = []
+    monkeypatch.setattr(net, "forward", lambda *args: forwards.append(args))
+    argv = ["--data", root, "--model", model_path]
+    if command == "boundaries":
+        argv += ["--out", tmp_path / "pseudo"]
+    assert _run(command, *argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {model_path}: model has 5 classes, mapping.txt has 3\n"
     )
     assert forwards == []
     assert not (tmp_path / "pseudo").exists()

@@ -51,6 +51,18 @@ def test_load_vocab_error_reports_line(tmp_path):
         data.load_vocab(path)
 
 
+@pytest.mark.parametrize(
+    "names, message",
+    [((), "^empty vocabulary$"),
+     (("a", ""), "^vocabulary contains an empty action name$"),
+     (("a", "b", "a"), "^duplicate action name in vocabulary$")],
+    ids=["empty", "empty-name", "duplicate"],
+)
+def test_vocab_refuses_bad_names(names, message):
+    with pytest.raises(ValueError, match=message):
+        data.ActionVocab(names)
+
+
 def test_vocab_name_with_spaces(tmp_path):
     path = tmp_path / "mapping.txt"
     path.write_text("0 cut tomato\n1 peel cucumber\n", encoding="utf-8")
@@ -177,6 +189,14 @@ def test_write_features_refuses_what_it_cannot_store(tmp_path, value):
     path = tmp_path / "x.npy"
     with pytest.raises(ValueError, match="non-finite features or values outside the float32"):
         data.write_features(frames, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("shape", [(5,), (0, 3), (3, 0), (2, 2, 2)])
+def test_write_features_refuses_a_non_2d_array(tmp_path, shape):
+    path = tmp_path / "x.npy"
+    with pytest.raises(ValueError, match=r"^features must be a \(T, D\) array with T, D >= 1$"):
+        data.write_features(np.ones(shape), path)
     assert not path.exists()
 
 
@@ -318,6 +338,8 @@ def test_timestamp_set_validation():
         data.TimestampSet(np.array([3, 3]), np.array([0, 1]))
     with pytest.raises(ValueError):
         data.TimestampSet(np.array([-1, 3]), np.array([0, 1]))
+    with pytest.raises(ValueError, match="^frames and labels must be 1-D arrays of equal length$"):
+        data.TimestampSet(np.array([1, 3]), np.array([0, 1, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +509,25 @@ def test_synthetic_rejects_single_class():
         data.SyntheticSpec(videos=1, num_classes=1, mean_frames=50, dim=3, noise=0.1)
 
 
+@pytest.mark.parametrize(
+    "over, match",
+    [({"videos": 0}, "^videos must be >= 1$"),
+     ({"dim": 0}, "^dim must be >= 1$"),
+     ({"noise": -0.1}, "^noise must be finite and >= 0$"),
+     ({"noise": float("nan")}, "^noise must be finite and >= 0$"),
+     ({"segment_range": (0, 3)}, r"^invalid segment-count range \(0, 3\)$"),
+     ({"segment_range": (5, 4)}, r"^invalid segment-count range \(5, 4\)$"),
+     ({"mean_frames": 19}, "^mean_frames too small for the segment-count range$")],
+    ids=["videos", "dim", "noise", "noise-nan", "segments-zero", "segments-reversed",
+         "mean-frames"],
+)
+def test_synthetic_spec_refuses_bad_settings(over, match):
+    spec = {"videos": 1, "num_classes": 2, "mean_frames": 50, "dim": 3, "noise": 0.1,
+            "segment_range": (4, 10), **over}
+    with pytest.raises(ValueError, match=match):
+        data.SyntheticSpec(**spec)
+
+
 # ---------------------------------------------------------------------------
 # corpus directories
 
@@ -503,6 +544,7 @@ def test_corpus_roundtrip(tmp_path):
     assert [r.name for r in train] == ["v0", "v1", "v2"]
     _, test = data.load_corpus(tmp_path, "test")
     assert [r.name for r in test] == ["v3"]
+    assert test[0].num_frames == 30
     np.testing.assert_array_equal(test[0].labels, videos[3][2])
     np.testing.assert_allclose(test[0].features, videos[3][1], atol=1e-6)
     assert test[0].timestamps is None

@@ -79,6 +79,23 @@ def test_cls_target_out_of_range():
         loss.cls_loss_grad(probs, np.array([0, 2, 1]))
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [(lambda p: loss.cls_loss_grad(p[0], [0]), r"^probs must be a \(T, C\) array with T, C >= 1$"),
+     (lambda p: loss.tmse_loss_grad(p[:0]), r"^probs must be a \(T, C\) array with T, C >= 1$"),
+     (lambda p: loss.cls_loss_grad(p, [0, 1, 0], {3}), r"^mask frame outside \[0, 3\)$"),
+     (lambda p: loss.cls_loss_grad(p, [0, 1, 0], {-1}), r"^mask frame outside \[0, 3\)$"),
+     (lambda p: loss.cls_loss_grad(p, [0, 1]), r"^target must have shape \(3,\)$"),
+     (lambda p: loss.tmse_loss_grad(p, tau=0.0), "^tau must be finite and positive, got 0.0$"),
+     (lambda p: loss.tmse_loss_grad(p, tau=math.inf), "^tau must be finite and positive, got inf$")],
+    ids=["probs-1d", "probs-no-frames", "mask-past-end", "mask-negative", "target-shape",
+         "tau-zero", "tau-inf"],
+)
+def test_loss_terms_refuse_bad_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call(np.full((3, 2), 0.5))
+
+
 def test_cls_clamp_floor():
     probs = np.array([[0.0, 1.0]])
     value = loss.cls_loss_grad(probs, np.array([0]))[0]

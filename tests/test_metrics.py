@@ -195,3 +195,5 @@ def test_report_line_format():
 def test_report_rejects_mismatched_lists():
     with pytest.raises(ValueError):
         metrics.report([np.array([0])], [])
+    with pytest.raises(ValueError, match="^empty corpus$"):
+        metrics.report([], [])

@@ -263,6 +263,8 @@ def test_train_refuses_timestamp_outside_video():
 
 
 def test_train_config_validation():
+    with pytest.raises(ValueError, match="^epochs must be >= 1$"):
+        pipeline.TrainConfig(epochs=0, warmup_epochs=0)
     with pytest.raises(ValueError, match="warmup"):
         pipeline.TrainConfig(epochs=5, warmup_epochs=6)
     with pytest.raises(ValueError, match="supervision"):
@@ -429,6 +431,8 @@ STAMP_RANGE = r"^video 1: timestamp class index out of range for 3 classes$"
         ("val", "naive", _with_nan, f"^val_data video 1: {NONFINITE}$"),
         ("train", "full", _label_out_of_range,
          r"^video 1: target class index out of range for 3 classes$"),
+        ("val", "naive", _label_out_of_range,
+         r"^val_data video 1: target class index out of range for 3 classes$"),
         ("stamps", "naive", _stamp_out_of_range, STAMP_RANGE),
         ("stamps", "uniform", _stamp_out_of_range, STAMP_RANGE),
         ("stamps", "timestamps", _stamp_out_of_range, STAMP_RANGE),
@@ -436,11 +440,12 @@ STAMP_RANGE = r"^video 1: timestamp class index out of range for 3 classes$"
          r"^video 1: features must be a \(T, D\) array with T >= 1$"),
         ("stamp list", "naive", lambda stamps: stamps[:-1],
          "^annotations and dataset differ in length$"),
+        ("val list", "full", lambda val: [], "^val_data is empty$"),
     ],
     ids=["train-width-full", "train-width-timestamps", "val-width", "val-labels",
-         "train-labels-full", "train-nan", "val-nan", "train-class-full",
+         "train-labels-full", "train-nan", "val-nan", "train-class-full", "val-class",
          "stamp-class-naive", "stamp-class-uniform", "stamp-class-timestamps",
-         "train-no-frames", "stamp-list-length"],
+         "train-no-frames", "stamp-list-length", "val-list-empty"],
 )
 def test_unusable_video_refused_before_training(monkeypatch, where, mode, edit, match):
     pairs = _corpus(noise=0.1, videos=3, seed=12)
@@ -452,6 +457,8 @@ def test_unusable_video_refused_before_training(monkeypatch, where, mode, edit, 
         val_data[1] = edit(val_data[1])
     elif where == "stamps":
         annotations[1] = edit(annotations[1])
+    elif where == "val list":
+        val_data = edit(val_data)
     else:
         annotations = edit(annotations)
 
