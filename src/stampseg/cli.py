@@ -138,7 +138,13 @@ def cmd_train(args) -> int:
                 net.save_model(model, path)
 
     model, logs = pipeline.train(
-        dataset, annotations, config, model_config, val_data=val_data, on_epoch=on_epoch
+        dataset,
+        annotations,
+        config,
+        model_config,
+        val_data=val_data,
+        on_epoch=on_epoch,
+        names=[r.name for r in records],
     )
     net.save_model(model, args.out)
     log_text = pipeline.format_log(logs)

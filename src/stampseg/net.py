@@ -12,7 +12,10 @@ tap reads and writes only its in-video rows (``_taps``), and a tap wholly
 outside is skipped, equal to explicit padding up to BLAS rounding at edges.
 
 ``_forward`` runs the stages once, keeping by default the per-layer caches
-that the backward pass reads (about 38 kB per frame at paper size).
+that the backward pass reads: each layer's input and its pre-activation ``z``
+(25.6 kB per frame at paper size, float32). The ReLU output is not kept; the
+backward pass recomputes it as ``max(z, 0)``, the forward pass's own
+operation, so the gradients are the same bits as from a cache that kept it.
 ``forward``, the inference pass, runs the same loop with ``keep=False``: no
 cache, the ReLU and residual sums in place, memory O(T x channels) plus the
 input, and outputs bit-equal to the cached pass's. ``loss_value`` runs that
@@ -214,7 +217,7 @@ def _stack_forward(params, prefix: str, x, layers: int, keep: bool):
         u = r @ params[f"{prefix}.l{layer}.pw"].T
         u += params[f"{prefix}.l{layer}.pb"]
         if keep:
-            layer_cache.append((h, z, r))
+            layer_cache.append((h, z, None))  # r is max(z, 0): the backward pass recomputes it
             h = h + u
         else:
             h += u
@@ -223,9 +226,9 @@ def _stack_forward(params, prefix: str, x, layers: int, keep: bool):
 
 def _stack_backward(params, prefix: str, cache, dh, grads):
     for layer in range(len(cache["layers"]) - 1, -1, -1):
-        h_in, z, r = cache["layers"][layer]
+        h_in, z, _ = cache["layers"][layer]
         dilation = 1 << layer
-        grads[f"{prefix}.l{layer}.pw"] += dh.T @ r
+        grads[f"{prefix}.l{layer}.pw"] += dh.T @ np.maximum(z, 0.0)
         grads[f"{prefix}.l{layer}.pb"] += dh.sum(axis=0)
         dz = _relu_backward(dh @ params[f"{prefix}.l{layer}.pw"], z)
         dw, db, dx = _dilated_conv_backward(dz, h_in, params[f"{prefix}.l{layer}.dw"], dilation)

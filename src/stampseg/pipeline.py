@@ -146,6 +146,7 @@ def train(
     model_config: net.ModelConfig,
     val_data=None,
     on_epoch=None,
+    names=None,
 ) -> tuple[net.ModelState, list[EpochLog]]:
     """Train a fresh model; returns it, float32, with one log entry per epoch.
 
@@ -157,6 +158,8 @@ def train(
     runs after each epoch when given. Validation, ``on_epoch`` and the return
     value all see the float32 model that ``net.save_model`` writes bit for
     bit; the float64 master weights and Adam moments never leave this loop.
+    A refusal or a divergence names a training video as ``video 'name'``
+    from the optional parallel sequence ``names``, else as ``video i``.
     """
     dataset = list(dataset)
     if not dataset:
@@ -165,6 +168,12 @@ def train(
         annotations = [None] * len(dataset)
     if len(annotations) != len(dataset):
         raise ValueError("annotations and dataset differ in length")
+    if names is None:
+        where = [f"video {i}" for i in range(len(dataset))]
+    elif len(names) == len(dataset):
+        where = [f"video {name!r}" for name in names]
+    else:
+        raise ValueError("names and dataset differ in length")
     mode = config.supervision
     master = net.init_model(model_config, config.seed)
     model = _float32(master)
@@ -172,10 +181,10 @@ def train(
     videos = []
     for i, ((feats, labels), ts) in enumerate(zip(dataset, annotations)):
         if mode != "full" and ts is None:
-            raise ValueError(f"supervision mode {mode!r} needs timestamps for video {i}")
+            raise ValueError(f"supervision mode {mode!r} needs timestamps for {where[i]}")
         if mode == "full" and labels is None:
-            raise ValueError(f"supervision mode 'full' needs frame labels for video {i}")
-        feats = _check_video(f"video {i}", model, feats, labels if mode == "full" else None, ts)
+            raise ValueError(f"supervision mode 'full' needs frame labels for {where[i]}")
+        feats = _check_video(where[i], model, feats, labels if mode == "full" else None, ts)
         num_frames = feats.shape[0]
         if mode == "full":
             target, mask = labels, None
@@ -215,7 +224,7 @@ def train(
                     )
                 except FloatingPointError as err:
                     raise FloatingPointError(
-                        f"training diverged at epoch {epoch}, video {vi}: {err}"
+                        f"training diverged at epoch {epoch}, {where[vi]}: {err}"
                     ) from None
                 epoch_losses.append(value)
                 for key in batch_grads:

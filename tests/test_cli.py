@@ -259,6 +259,30 @@ def test_train_names_the_first_video_without_labels(tmp_path, capsys, monkeypatc
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("case", ["width", "stamp-outside"])
+def test_train_names_the_refused_video(tmp_path, capsys, monkeypatch, case):
+    root = _synth(tmp_path / "corpus")
+    assert _run("annotate", "--data", root, "--strategy", "center") == 0
+    name = "video_0002"
+    assert name in (root / "splits" / "train.bundle").read_text().split()
+    path = root / "features" / f"{name}.npy"
+    frames = data.load_features(path)
+    num_frames = len(frames)
+    if case == "width":
+        data.write_features(frames[:, :5], path)
+        message = f"video '{name}': features of shape ({num_frames}, 5), the model takes (T, 6)"
+    else:
+        # the corpus loader refuses it first, naming the video's stamp file
+        stamps = root / "timestamps" / f"{name}.txt"
+        with open(stamps, "a", encoding="utf-8") as fh:
+            fh.write(f"{num_frames} action_0\n")
+        message = f"{stamps}: timestamp frame {num_frames} outside video of {num_frames} frames"
+    monkeypatch.setattr(net, "loss_and_grad", lambda *args, **kwargs: pytest.fail("trained"))
+    assert _run("train", "--data", root, "--out", tmp_path / "m.bin",
+                "--mode", "timestamps", "--epochs", 1, "--warmup", 0, *TINY_NET) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_train_save_every_writes_checkpoints(tmp_path, capsys):
     root = _synth(tmp_path / "corpus")
     model_path = tmp_path / "model.bin"

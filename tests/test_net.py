@@ -164,7 +164,7 @@ def test_forward_without_cache_equals_cached_pass():
 def test_forward_memory_is_input_plus_a_few_activations():
     # 2 stages x 6 layers x 32 channels, D = 32, T = 4,000, float32; input
     # plus outputs are 1.13 MiB. Measured tracemalloc peaks: forward 3.0 MiB,
-    # the cached pass 28.4 MiB (forward peaked at 28.9 MiB when it kept the
+    # the cached pass 20.1 MiB (forward peaked at 28.9 MiB when it kept the
     # cache), so inference memory no longer grows with layers x channels.
     config = net.ModelConfig(
         input_dim=32, num_classes=5, num_stages=2, layers_per_stage=6, channels=32
@@ -185,6 +185,39 @@ def test_forward_memory_is_input_plus_a_few_activations():
     io_bytes = feats.nbytes + out.penultimate.nbytes + sum(p.nbytes for p in out.probs)
     assert free_peak < 4 * io_bytes
     assert cached_peak > 5 * free_peak
+
+
+def test_training_cache_is_two_activations_per_layer():
+    # the shape above: 3 stacks x 6 layers of (4,000 x 32) float32 activations.
+    # Measured tracemalloc peak of the cached pass: 2.16 activations per layer
+    # beyond inputs and outputs (3.10 when the cache also kept each ReLU output)
+    config = net.ModelConfig(
+        input_dim=32, num_classes=5, num_stages=2, layers_per_stage=6, channels=32
+    )
+    model = _with_dtype(net.init_model(config, seed=0), np.float32)
+    feats = np.random.default_rng(0).standard_normal((4000, 32)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        probs, penultimate, caches = net._forward(model, feats)
+        cached_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    io_bytes = feats.nbytes + penultimate.nbytes + sum(p.nbytes for p in probs)
+    activation = feats.shape[0] * config.channels * 4
+    num_stacks = 3
+    assert cached_peak < 2.5 * num_stacks * config.layers_per_stage * activation + io_bytes
+    # each entry is (layer input, pre-activation, None): the ReLU output is recomputed
+    stages = range(config.num_stages)
+    prefixes = [prefix for stage in stages for prefix, *_ in net._stage_stacks(config, stage)]
+    stacks = [stack for cache in caches for stack in cache["branches"]]
+    assert len(prefixes) == len(stacks) == num_stacks
+    for prefix, stack in zip(prefixes, stacks):
+        assert len(stack["layers"]) == config.layers_per_stage
+        for layer, entry in enumerate(stack["layers"]):
+            assert len(entry) == 3 and entry[2] is None
+            h, z, _ = entry
+            dw, db = model.params[f"{prefix}.l{layer}.dw"], model.params[f"{prefix}.l{layer}.db"]
+            assert np.array_equal(z, net._dilated_conv(h, dw, db, 1 << layer))
 
 
 def test_forward_leaves_float32_features_unchanged():
@@ -401,6 +434,56 @@ def test_loss_and_grad_bit_equal_with_the_where_select(monkeypatch):
         ts = _ts(stamps, target[stamps])
         cases.append((model, feats, target, ts, net.loss_and_grad(model, feats, target, None, ts)))
     monkeypatch.setattr(net, "_relu_backward", lambda dr, z: np.where(z > 0.0, dr, 0.0))
+    for trial, (model, feats, target, ts, (value, grads)) in enumerate(cases):
+        want_value, want = net.loss_and_grad(model, feats, target, None, ts)
+        assert value == want_value, trial
+        assert grads.keys() == want.keys()
+        for key, grad in grads.items():
+            assert grad.dtype == want[key].dtype and grad.tobytes() == want[key].tobytes(), (trial, key)
+
+
+def _three_array_stack_backward(params, prefix, cache, dh, grads):
+    """``net._stack_backward`` as it ran on a cache that also kept each ReLU output."""
+    layers = [(h_in, z, np.maximum(z, 0.0)) for h_in, z, _ in cache["layers"]]
+    for layer in range(len(layers) - 1, -1, -1):
+        h_in, z, r = layers[layer]
+        dilation = 1 << layer
+        grads[f"{prefix}.l{layer}.pw"] += dh.T @ r
+        grads[f"{prefix}.l{layer}.pb"] += dh.sum(axis=0)
+        dz = net._relu_backward(dh @ params[f"{prefix}.l{layer}.pw"], z)
+        dw, db, dx = net._dilated_conv_backward(dz, h_in, params[f"{prefix}.l{layer}.dw"], dilation)
+        grads[f"{prefix}.l{layer}.dw"] += dw
+        grads[f"{prefix}.l{layer}.db"] += db
+        dx += dh
+        dh = dx
+    grads[f"{prefix}.proj.w"] += dh.T @ cache["x"]
+    grads[f"{prefix}.proj.b"] += dh.sum(axis=0)
+    return dh
+
+
+def test_loss_and_grad_bit_equal_to_a_cache_that_keeps_the_relu_output(monkeypatch):
+    # both dtypes, first-stage kernels 1, 3 and 5, two or more stages, and
+    # T from 1 up, mostly shorter than the deepest layers' dilations
+    rng = np.random.default_rng(19)
+    cases = []
+    for trial in range(18):
+        dtype = (np.float32, np.float64)[trial % 2]
+        kernels = (1, 3, 5)[trial // 2 % 3], int(rng.choice([1, 3, 5]))
+        config = dataclasses.replace(
+            _random_config(rng),
+            num_stages=int(rng.integers(2, 4)),
+            layers_per_stage=int(rng.integers(4, 8)),
+            first_stage_kernels=kernels,
+        )
+        model = _with_dtype(net.init_model(config, seed=trial), dtype)
+        num_frames = (1, 2, 5, 9)[trial % 4] if trial < 8 else int(rng.integers(1, 150))
+        feats = rng.standard_normal((num_frames, config.input_dim)).astype(dtype)
+        target = rng.integers(0, config.num_classes, size=num_frames)
+        stamps = np.unique(rng.integers(0, num_frames, size=3))
+        ts = _ts(stamps, target[stamps])
+        cases.append((model, feats, target, ts, net.loss_and_grad(model, feats, target, None, ts)))
+    assert {len(case[1]) for case in cases[:8]} == {1, 2, 5, 9}
+    monkeypatch.setattr(net, "_stack_backward", _three_array_stack_backward)
     for trial, (model, feats, target, ts, (value, grads)) in enumerate(cases):
         want_value, want = net.loss_and_grad(model, feats, target, None, ts)
         assert value == want_value, trial

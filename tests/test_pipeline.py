@@ -471,6 +471,43 @@ def test_unusable_video_refused_before_training(monkeypatch, where, mode, edit, 
         pipeline.train(pairs, annotations, config, _model_config(6, 3), val_data=val_data)
 
 
+@pytest.mark.parametrize(
+    "where, mode, edit, match",
+    [
+        ("train", "full", _narrowed,
+         r"^video 'b': features of shape \(\d+, 5\), the model takes \(T, 6\)$"),
+        ("train", "full", _cut_labels, r"^video 'b': \d+ labels for \d+ frames$"),
+        ("train", "full", _label_out_of_range,
+         r"^video 'b': target class index out of range for 3 classes$"),
+        ("stamps", "naive", _stamp_out_of_range,
+         r"^video 'b': timestamp class index out of range for 3 classes$"),
+        ("stamps", "naive", lambda ts: data.TimestampSet(np.r_[ts.frames[:-1], 999], ts.labels),
+         r"^video 'b': timestamp frame 999 outside video of \d+ frames$"),
+        ("stamps", "naive", lambda ts: None,
+         r"^supervision mode 'naive' needs timestamps for video 'b'$"),
+    ],
+    ids=["width", "label-count", "label-class", "stamp-class", "stamp-outside", "no-stamps"],
+)
+def test_named_video_refused_by_name(monkeypatch, where, mode, edit, match):
+    pairs = _corpus(noise=0.1, videos=3, seed=12)
+    annotations = _annotate(pairs)
+    if where == "train":
+        pairs[1] = edit(pairs[1])
+    else:
+        annotations[1] = edit(annotations[1])
+    monkeypatch.setattr(net, "loss_and_grad", lambda *args, **kwargs: pytest.fail("trained"))
+    config = pipeline.TrainConfig(epochs=1, warmup_epochs=0, supervision=mode)
+    with pytest.raises(ValueError, match=match):
+        pipeline.train(pairs, annotations, config, _model_config(6, 3), names=["a", "b", "c"])
+
+
+def test_train_refuses_names_of_another_length():
+    pairs = _corpus(noise=0.1, videos=3, seed=12)
+    config = pipeline.TrainConfig(epochs=1, warmup_epochs=0, supervision="full")
+    with pytest.raises(ValueError, match="^names and dataset differ in length$"):
+        pipeline.train(pairs, None, config, _model_config(6, 3), names=["a", "b"])
+
+
 def test_timestamps_mode_ignores_unused_label_count():
     pairs = _corpus(noise=0.1, videos=2, seed=12)
     annotations = _annotate(pairs)
@@ -491,3 +528,5 @@ def test_divergence_reports_context(monkeypatch):
     config = pipeline.TrainConfig(epochs=2, warmup_epochs=0, supervision="naive", seed=0)
     with pytest.raises(FloatingPointError, match="epoch 1, video"):
         pipeline.train(pairs, annotations, config, _model_config(6, 3))
+    with pytest.raises(FloatingPointError, match="^training diverged at epoch 1, video '[ab]': "):
+        pipeline.train(pairs, annotations, config, _model_config(6, 3), names=["a", "b"])
