@@ -105,8 +105,12 @@ def cmd_train(args) -> int:
     if args.save_every < 0:
         raise ValueError(f"--save-every must be >= 0, got {args.save_every}")
     for flag, path in (("--out", args.out), ("--log", args.log)):
-        if path is not None and not Path(path).parent.is_dir():
+        if path is None:
+            continue
+        if not Path(path).parent.is_dir():
             raise ValueError(f"{flag} {path}: directory {Path(path).parent} does not exist")
+        if Path(path).is_dir():
+            raise ValueError(f"{flag} {path}: is a directory")
     config = _train_config(args)
     # the model flags are checked now; the corpus fills in its two dimensions below
     model_config = _model_config(args, input_dim=1, num_classes=1)

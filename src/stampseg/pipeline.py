@@ -2,12 +2,12 @@
 
 Supervision modes
 -----------------
-timestamps  warm up on the annotated frames only, then regenerate dense
-            pseudo-labels at every step from the activations of the forward
-            pass that the step trains on.
+``_recipe`` builds each video's targets once, before the first training step:
+timestamps  the annotated frames only in warmup, then dense pseudo-labels
+            made at every step from the forward pass that the step trains on.
 full        dense ground-truth labels for every frame.
 naive       the annotated frames only, for the whole run.
-uniform     dense labels from midpoint boundaries, fixed before training.
+uniform     dense labels from midpoint boundaries, for the whole run.
 
 ``full`` reads only the frame labels and the other modes only the stamps,
 whatever else a video holds. The smoothing term always applies; the
@@ -53,6 +53,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError("lr must be finite and positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.supervision not in SUPERVISION_MODES:
             raise ValueError(f"unknown supervision mode {self.supervision!r}")
         if self.boundary_method not in change.BOUNDARY_METHODS:
@@ -135,6 +137,28 @@ def _check_video(where: str, model: net.ModelState, feats, labels=None, stamps=N
     return feats
 
 
+def _recipe(mode: str, method: str, where: str, model: net.ModelState, feats, labels, ts):
+    """One video's features, stamps, and warmup and later (target, mask) (module docstring)."""
+    labels, ts = (labels, None) if mode == "full" else (None, ts)
+    if labels is None and ts is None:
+        read = "labels" if mode == "full" else "timestamps"
+        raise ValueError(f"{where} has no {read} for mode {mode!r}")
+    feats = _check_video(where, model, feats, labels, ts)
+    num_frames = feats.shape[0]
+    if mode == "full":
+        warm = labels, None
+    elif mode == "uniform":
+        bounds = change.uniform_boundaries(ts, num_frames)
+        warm = change.labels_from_boundaries(ts, bounds, num_frames), None
+    else:
+        target = np.zeros(num_frames, dtype=np.int64)
+        target[ts.frames] = ts.labels
+        warm = target, ts.frames
+    if mode == "timestamps":  # each later step labels the frames from its own forward pass
+        return feats, ts, warm, (lambda out: pseudo_labels(out, ts, method), None)
+    return feats, ts, warm, warm
+
+
 def _float32(m: net.ModelState) -> net.ModelState:
     """A float32 copy of the float64 master weights: the model every caller sees."""
     return net.ModelState(m.config, {k: p.astype(np.float32) for k, p in m.params.items()})
@@ -153,7 +177,7 @@ def train(
 
     ``dataset`` is a non-empty sequence of (features, labels-or-None) pairs
     and ``annotations`` a parallel sequence of timestamp sets (or None per
-    video, or None entirely); the mode reads one of the two (module docstring).
+    video, or None entirely); ``_recipe`` reads them before the first step.
     Float32 features are used as they are; others are converted to float32
     once. ``val_data`` is an optional non-empty (features, labels) list
     evaluated after each epoch. ``on_epoch(epoch, model, entry)`` runs after
@@ -176,29 +200,12 @@ def train(
         where = [f"video {name!r}" for name in names]
     else:
         raise ValueError("names and dataset differ in length")
-    mode = config.supervision
-    read = "labels" if mode == "full" else "timestamps"
     master = net.init_model(model_config, config.seed)
     model = _float32(master)
-    # one (features, stamps, target, mask) per video; timestamps mode uses its target in warmup
-    videos = []
-    for i, ((feats, labels), ts) in enumerate(zip(dataset, annotations)):
-        # full mode reads the labels, the others the stamps; the other input goes unread
-        labels, ts = (labels, None) if mode == "full" else (None, ts)
-        if labels is None and ts is None:
-            raise ValueError(f"{where[i]} has no {read} for mode {mode!r}")
-        feats = _check_video(where[i], model, feats, labels, ts)
-        num_frames = feats.shape[0]
-        if mode == "full":
-            target, mask = labels, None
-        elif mode == "uniform":
-            bounds = change.uniform_boundaries(ts, num_frames)
-            target, mask = change.labels_from_boundaries(ts, bounds, num_frames), None
-        else:
-            target = np.zeros(num_frames, dtype=np.int64)
-            target[ts.frames] = ts.labels
-            mask = ts.frames
-        videos.append((feats, ts, target, mask))
+    videos = [
+        _recipe(config.supervision, config.boundary_method, where[i], model, feats, labels, ts)
+        for i, ((feats, labels), ts) in enumerate(zip(dataset, annotations))
+    ]
     if val_data is not None:
         val_data = list(val_data)
         if not val_data:
@@ -217,10 +224,8 @@ def train(
         for start in range(0, len(order), config.batch_size):
             batch_grads = {k: np.zeros_like(p) for k, p in master.params.items()}
             for vi in order[start : start + config.batch_size]:
-                feats, ts, target, mask = videos[vi]
-                if mode == "timestamps" and epoch > config.warmup_epochs:
-                    target = lambda outputs: pseudo_labels(outputs, ts, config.boundary_method)
-                    mask = None
+                feats, ts, warm, late = videos[vi]
+                target, mask = warm if epoch <= config.warmup_epochs else late
                 try:
                     value, grads = net.loss_and_grad(
                         model, feats, target, mask, ts, config.weights

@@ -347,6 +347,21 @@ def test_train_refuses_output_in_missing_directory(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "model.bin").exists()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--log"])
+def test_train_refuses_output_that_is_a_directory(tmp_path, capsys, monkeypatch, flag):
+    root = _synth(tmp_path / "corpus")
+    monkeypatch.setattr(pipeline, "train", lambda *args, **kwargs: pytest.fail("trained"))
+    paths = {"--out": tmp_path / "model.bin", "--log": tmp_path / "train.log"}
+    taken = paths[flag] = tmp_path / "taken"
+    taken.mkdir()
+    code = _run("train", "--data", root, "--out", paths["--out"], "--log", paths["--log"],
+                "--mode", "full", "--epochs", 1, "--warmup", 0, *TINY_NET)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {flag} {taken}: is a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus", "taken"]
+    assert not any(taken.iterdir())
+
+
 def _no_corpus_loading(monkeypatch):
     def no_loading(*args, **kwargs):
         raise AssertionError("loaded the corpus before checking the flags")
@@ -360,10 +375,11 @@ def _no_corpus_loading(monkeypatch):
         (["--epochs", 50, "--warmup", 60], "warmup_epochs must lie in [0, epochs]"),
         (["--lr", 0], "lr must be finite and positive"),
         (["--batch", 0], "batch_size must be >= 1"),
+        (["--seed", -1], "seed must be >= 0"),
         (["--stages", 0], "num_stages must be >= 1"),
         (["--kernels", 4, 3], "kernel sizes must be odd and >= 1, got 4"),
     ],
-    ids=["warmup", "lr", "batch", "stages", "kernels"],
+    ids=["warmup", "lr", "batch", "seed", "stages", "kernels"],
 )
 def test_train_refuses_bad_flags_before_loading_the_corpus(
     tmp_path, capsys, monkeypatch, flags, message

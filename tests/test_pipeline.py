@@ -267,6 +267,8 @@ def test_train_config_validation():
         pipeline.TrainConfig(epochs=0, warmup_epochs=0)
     with pytest.raises(ValueError, match="warmup"):
         pipeline.TrainConfig(epochs=5, warmup_epochs=6)
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        pipeline.TrainConfig(seed=-1)
     with pytest.raises(ValueError, match="supervision"):
         pipeline.TrainConfig(supervision="magic")
     with pytest.raises(ValueError, match="boundary"):
@@ -525,6 +527,52 @@ def test_full_mode_reads_no_stamps(stamps):
     for key, value in want.params.items():
         np.testing.assert_array_equal(got.params[key], value, strict=True)
     assert pipeline.format_log(got_logs) == pipeline.format_log(want_logs)
+
+
+@pytest.mark.parametrize("mode", ["timestamps", "naive", "uniform"])
+def test_stamp_modes_read_no_labels(mode):
+    """A stamp mode's run is the same bits whether the videos hold labels or not."""
+    pairs = _corpus(noise=0.1, videos=3, seed=12)
+    annotations = _annotate(pairs)
+    config = pipeline.TrainConfig(
+        epochs=3, warmup_epochs=1, batch_size=2, supervision=mode, seed=4
+    )
+    got, got_logs = pipeline.train(pairs, annotations, config, _model_config(6, 3))
+    unlabelled = [(feats, None) for feats, _ in pairs]
+    want, want_logs = pipeline.train(unlabelled, annotations, config, _model_config(6, 3))
+    for key, value in want.params.items():
+        np.testing.assert_array_equal(got.params[key], value, strict=True)
+    assert pipeline.format_log(got_logs) == pipeline.format_log(want_logs)
+
+
+@pytest.mark.parametrize("mode", pipeline.SUPERVISION_MODES)
+def test_pseudo_labels_called_on_each_videos_own_stamps(monkeypatch, mode):
+    """After warmup, timestamps mode calls the module's ``pseudo_labels`` by position
+    on each video's own stamp object, once per video and epoch; no other mode calls it."""
+    pairs = _corpus(noise=0.1, videos=3, seed=12)
+    annotations = _annotate(pairs)
+    original = pipeline.pseudo_labels
+    calls, counts = [], []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "pseudo_labels", spy)
+    config = pipeline.TrainConfig(
+        epochs=4, warmup_epochs=2, batch_size=2, supervision=mode, boundary_method="s2s_prob"
+    )
+    pipeline.train(
+        pairs, annotations, config, _model_config(6, 3),
+        on_epoch=lambda epoch, model, entry: counts.append(len(calls)),
+    )
+    if mode != "timestamps":
+        assert calls == []
+        return
+    assert counts == [0, 0, 3, 6]
+    for epoch_calls in (calls[:3], calls[3:]):
+        assert sorted(id(args[1]) for args, _ in epoch_calls) == sorted(map(id, annotations))
+    assert all(len(args) == 3 and args[2] == "s2s_prob" and not kwargs for args, kwargs in calls)
 
 
 def test_timestamps_mode_ignores_unused_label_count():

@@ -8,15 +8,17 @@ package under this checkout's ``src/``, with BLAS pinned to one thread:
 1. ``synth`` a 12-video, 4-class corpus and ``annotate`` it at random;
 2. ``train`` in timestamps mode once per boundary method, with a log;
 3. ``eval`` the ``fb`` checkpoint, and write ``boundaries`` with each method;
-4. ``train`` in full mode, which reads the labels and none of the stamps.
+4. ``train`` in full mode, which reads the labels and none of the stamps,
+   then in naive and uniform mode, which read the stamps and none of the
+   labels.
 
-It prints one ``<output> <sha256 prefix>`` line per output, eleven in all:
+It prints one ``<output> <sha256 prefix>`` line per output, thirteen in all:
 three timestamps-mode checkpoints, three logs, the ``eval`` line, each
-``boundaries`` directory's files concatenated in name order, and the
-full-mode checkpoint. To check that a refactor keeps every seeded output,
-run it in the parent checkout and in the changed one and compare the lines.
-Another BLAS build may round differently, so compare runs made on one
-machine. The exit status is non-zero if any command fails.
+``boundaries`` directory's files concatenated in name order, and the full-,
+naive- and uniform-mode checkpoints. To check that a refactor keeps every
+seeded output, run it in the parent checkout and in the changed one and
+compare the lines. Another BLAS build may round differently, so compare runs
+made on one machine. The exit status is non-zero if any command fails.
 """
 
 import hashlib
@@ -75,9 +77,10 @@ def main() -> int:
             stampseg("boundaries", "--data", corpus, "--model", model, "--out", out,
                      "--boundary", method)
             lines.append((out.name, _digest(*sorted(out.iterdir()))))
-        model = tmp / "full.bin"
-        stampseg("train", "--data", corpus, "--out", model, "--mode", "full", *TRAIN)
-        lines.append((model.name, _digest(model)))
+        for mode in ("full", "naive", "uniform"):
+            model = tmp / f"{mode}.bin"
+            stampseg("train", "--data", corpus, "--out", model, "--mode", mode, *TRAIN)
+            lines.append((model.name, _digest(model)))
     for name, prefix in lines:
         print(f"{name} {prefix}")
     return 0
