@@ -14,6 +14,9 @@ BOUNDARY_METHODS = ("fb", "s2s_features", "s2s_prob")
 # Candidate splits scored per matrix product in _split_energies; it bounds that
 # function's working memory to a few (window frames x _BLOCK) float64 arrays.
 _BLOCK = 256
+# Upper triangle with the diagonal; a block's top-left corner is np.triu's mask
+# for it, and the transposed corner np.tril's.
+_UPPER = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool))
 
 
 def _check_features(features) -> np.ndarray:
@@ -61,8 +64,8 @@ def _split_energies(feats, span_start, cand_lo, cand_hi, span_end):
     # The clamp below would turn a NaN distance into 0, so refuse non-finite frames.
     if not np.isfinite(window).all():
         raise ValueError("non-finite value in input features")
-    window -= window.mean(axis=0)
     num = window.shape[0]
+    window -= np.add.reduce(window, axis=0) / num  # the mean; .sum and .mean call this reduce
     sq = np.einsum("ij,ij->i", window, window)
     prefix = np.cumsum(window, axis=0)
     suffix = np.cumsum(window[::-1], axis=0)[::-1]
@@ -74,13 +77,17 @@ def _split_energies(feats, span_start, cand_lo, cand_hi, span_end):
     blocks = []
     for lo in range(cand_lo - span_start, cand_hi - span_start, _BLOCK):
         hi = min(lo + _BLOCK, cand_hi - span_start)
-        splits = np.arange(lo, hi)
-        means_l = prefix[lo:hi] / (splits + 1)[:, None]
-        dist = _cluster_distances(window[:hi], sq[:hi], means_l)
-        energy = dist[:lo].sum(axis=0) + np.triu(dist[lo:]).sum(axis=0)
-        means_r = suffix[lo + 1 : hi + 1] / (num - 1 - splits)[:, None]
+        size = hi - lo
+        upper = _UPPER[:size, :size]
+        counts = np.arange(lo + 1, hi + 1, dtype=np.float64)[:, None]  # left cluster sizes
+        dist = _cluster_distances(window[:hi], sq[:hi], prefix[lo:hi] / counts)
+        energy = np.add.reduce(dist[:lo], axis=0)
+        energy += np.add.reduce(np.where(upper, dist[lo:], 0.0), axis=0)
+        means_r = suffix[lo + 1 : hi + 1] / (num - counts)  # right cluster sizes num - counts
         dist = _cluster_distances(window[lo + 1 :], sq[lo + 1 :], means_r)
-        energy += np.tril(dist[: hi - lo]).sum(axis=0) + dist[hi - lo :].sum(axis=0)
+        right = np.add.reduce(np.where(upper.T, dist[:size], 0.0), axis=0)
+        right += np.add.reduce(dist[size:], axis=0)
+        energy += right
         blocks.append(energy)
     return np.concatenate(blocks)
 

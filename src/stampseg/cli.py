@@ -33,7 +33,13 @@ def _check_widths(model: str, input_dim: int, records) -> None:
             )
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
+
+
 def cmd_synth(args) -> int:
+    _check_seed(args.seed)
     # stale files, timestamps/ among them, would be read with the new corpus
     out = Path(args.out)
     if out.is_dir() and any(out.iterdir()):
@@ -64,6 +70,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_annotate(args) -> int:
+    _check_seed(args.seed)
+    data.parse_strategy(args.strategy)  # refused before the corpus is read
     vocab, records = data.load_corpus(args.data, split=args.split)
     # sample every video before the first write, so a refused run leaves nothing behind
     _require(records, "labels", "ground-truth labels to sample from")

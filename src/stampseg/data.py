@@ -290,6 +290,32 @@ def segments_from_labels(labels: np.ndarray) -> list[tuple[int, int, int]]:
     return [(int(labels[s]), int(s), int(e)) for s, e in zip(starts, ends)]
 
 
+def parse_strategy(strategy: str) -> float | None:
+    """The p of ``fraction:<p>``, or None for a per-segment strategy.
+
+    Refuses a name outside ``SAMPLING_STRATEGIES`` and a p that is not a
+    number in (0, 1]; ``sample_timestamps`` parses its strategy here, and a
+    caller can check one before it has any labels.
+    """
+    if not strategy.startswith("fraction:"):
+        if strategy not in SAMPLING_STRATEGIES:
+            raise ValueError(f"unknown sampling strategy {strategy!r}")
+        return None
+    try:
+        fraction = float(strategy.split(":", 1)[1])
+    except ValueError:
+        raise ValueError(
+            f"sampling strategy {strategy!r}: expected fraction:<p> with p a number"
+        ) from None
+    _check_fraction(fraction)
+    return fraction
+
+
+def _check_fraction(fraction: float) -> None:
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+
+
 def sample_timestamps(labels: np.ndarray, strategy: str, seed: int = 0) -> TimestampSet:
     """Pick one annotated frame per segment, or annotate a fraction of the frames.
 
@@ -297,16 +323,9 @@ def sample_timestamps(labels: np.ndarray, strategy: str, seed: int = 0) -> Times
     floor((start + end - 1) / 2), ``start`` takes the first frame, and
     ``fraction:<p>`` is ``sample_timestamps_fraction`` with fraction p.
     """
-    if strategy.startswith("fraction:"):
-        try:
-            fraction = float(strategy.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(
-                f"sampling strategy {strategy!r}: expected fraction:<p> with p a number"
-            ) from None
+    fraction = parse_strategy(strategy)
+    if fraction is not None:
         return sample_timestamps_fraction(labels, fraction, seed)
-    if strategy not in SAMPLING_STRATEGIES:
-        raise ValueError(f"unknown sampling strategy {strategy!r}")
     segments = segments_from_labels(labels)
     rng = np.random.default_rng(seed)
     if strategy == "random":
@@ -325,8 +344,7 @@ def sample_timestamps_fraction(labels: np.ndarray, fraction: float, seed: int = 
     entries can repeat a class.
     """
     labels = _check_labels(labels)
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    _check_fraction(fraction)
     num_frames = len(labels)
     # the 1e-9 slack keeps products like 0.1 * 300 from ceiling to 31; fraction <= 1 caps it at T
     count = max(1, math.ceil(fraction * num_frames - 1e-9))

@@ -131,26 +131,34 @@ def conf_loss_grad(probs, timestamps: TimestampSet) -> tuple[float, np.ndarray]:
     timestamps.check_within(num_frames)
     frames, classes = timestamps.frames, timestamps.labels
     _check_classes("timestamp", classes, num_classes)
-    count = len(frames)
     logs, dlogs = _clamped_log(probs)
-    grad_logs = np.zeros_like(logs)
+    # stamp i's window is t = max(lo_i, 1) .. hi_i (t = 0 has no left neighbour);
+    # every window's frames sit in one run of index arrays, stamp after stamp
+    lo = np.maximum(np.concatenate((frames[:1], frames[:-1])), 1)
+    hi = np.concatenate((frames[1:], frames[-1:]))
+    sizes = np.maximum(hi - lo + 1, 0)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    t = np.arange(ends[-1]) + np.repeat(lo - starts, sizes)
+    cls = np.repeat(classes, sizes)
+    away_right = t > np.repeat(frames, sizes)
+    step = logs[t, cls] - logs[t - 1, cls]
+    delta = np.where(away_right, step, -step)
+    active = delta > 0.0
+    # each stamp's value is its own pairwise sum, added in stamp order
+    # (np.add.reduceat would sum each window sequentially, in other bits)
+    gains = delta[active]
+    before = np.concatenate(([0], np.cumsum(active)))  # active entries ahead of each index
     total = 0.0
-    for i in range(count):
-        lo = int(frames[i - 1]) if i > 0 else int(frames[0])
-        hi = int(frames[i + 1]) if i < count - 1 else int(frames[-1])
-        cls = int(classes[i])
-        t = np.arange(max(lo, 1), hi + 1)  # t = 0 has no left neighbour
-        if len(t) == 0:
-            continue
-        step = logs[t, cls] - logs[t - 1, cls]
-        away_right = t > int(frames[i])
-        delta = np.where(away_right, step, -step)
-        active = delta > 0.0
-        total += float(delta[active].sum())
-        sign = np.where(away_right, 1.0, -1.0) * active
-        # t holds each frame once, so each fancy-index += adds each sign exactly once
-        grad_logs[t, cls] += sign
-        grad_logs[t - 1, cls] -= sign
+    for a, b in zip(before[starts].tolist(), before[ends].tolist()):
+        total += float(gains[a:b].sum())
+    sign = np.where(away_right, 1.0, -1.0) * active
+    # +sign at (t, cls) and -sign at (t - 1, cls); the signs are small integers,
+    # so the scattered sums are exact in any order
+    flat = t * num_classes + cls
+    grad_logs = np.bincount(
+        np.concatenate((flat, flat - num_classes)), np.concatenate((sign, -sign)), logs.size
+    ).reshape(logs.shape)
     norm = max(1.0, 2.0 * float(frames[-1] - frames[0]))
     return total / norm, (grad_logs / norm) * dlogs
 

@@ -278,9 +278,14 @@ def _forward(model: ModelState, features, keep: bool = True):
     return probs_list, act, stage_caches
 
 
-def _backward(model: ModelState, stage_caches, dprobs_list):
+def _backward(model: ModelState, stage_caches, dprobs_list, grads=None):
+    """Every parameter's gradient added into ``grads``, or into fresh zeros in its dtype.
+
+    Each key receives exactly one ``+=`` per call.
+    """
     config, params = model.config, model.params
-    grads = {key: np.zeros(value.shape, value.dtype) for key, value in params.items()}
+    if grads is None:
+        grads = {key: np.zeros(value.shape, value.dtype) for key, value in params.items()}
     above = []  # (prefix, projection-output gradient) of each stack of the stage above
     for stage in range(config.num_stages - 1, -1, -1):
         cache = stage_caches[stage]
@@ -328,6 +333,7 @@ def loss_and_grad(
     mask=None,
     timestamps: TimestampSet | None = None,
     weights: LossWeights = LossWeights(),
+    grads: dict[str, np.ndarray] | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Total loss summed over every stage's probabilities, plus exact gradients.
 
@@ -335,12 +341,20 @@ def loss_and_grad(
     forward pass: it receives the pass's ``StageOutputs`` once, before the
     loss, and returns the labels. A training step that derives its labels
     from the model's outputs thus runs the network once.
+
+    Without ``grads`` the gradients come back as fresh arrays in the
+    parameters' dtype. With ``grads``, a dict of arrays shaped like the
+    parameters (``pipeline.train`` passes its float64 batch sum), the backward
+    pass adds each gradient into it as it is made, and returns that dict.
+    No per-call gradient set is allocated, and a sum started from zeros gets
+    the same bits as adding the fresh gradients into it would give (those
+    differ only where a -0.0 would meet a -0.0, which such a sum never holds).
     """
     features = _check_input(model, features)
     probs_list, penultimate, stage_caches = _forward(model, features)
     outputs = StageOutputs(probs=probs_list, penultimate=penultimate)
     total, dprobs_list = _summed_loss(outputs, target, mask, timestamps, weights)
-    return total, _backward(model, stage_caches, dprobs_list)
+    return total, _backward(model, stage_caches, dprobs_list, grads)
 
 
 def loss_value(

@@ -16,8 +16,8 @@ One optimizer step is taken per batch of videos, with per-video gradients
 summed in batch order, so a run is a pure function of the data, the configs,
 and the seed. Features and models are float32 wherever a caller sees them.
 Float64 lives only in the training loop's optimiser (master weights and Adam
-moments), which sums each batch's gradients in float64, in batch order, and
-refreshes the float32 model after every Adam step.
+moments and the batch sum, into which each video's backward pass adds its
+gradients, in batch order), refreshing the float32 model after every Adam step.
 """
 
 import math
@@ -226,17 +226,15 @@ def train(
             for vi in order[start : start + config.batch_size]:
                 feats, ts, warm, late = videos[vi]
                 target, mask = warm if epoch <= config.warmup_epochs else late
-                try:
-                    value, grads = net.loss_and_grad(
-                        model, feats, target, mask, ts, config.weights
+                try:  # the backward pass adds this video's gradients into the batch sum
+                    value, _ = net.loss_and_grad(
+                        model, feats, target, mask, ts, config.weights, batch_grads
                     )
                 except FloatingPointError as err:
                     raise FloatingPointError(
                         f"training diverged at epoch {epoch}, {where[vi]}: {err}"
                     ) from None
                 epoch_losses.append(value)
-                for key in batch_grads:
-                    batch_grads[key] += grads[key]  # widened to float64
             net.adam_step(master, adam, batch_grads, config.lr)
             model = _float32(master)
         entry = EpochLog(epoch=epoch, mean_loss=float(np.mean(epoch_losses)))

@@ -169,7 +169,47 @@ def test_fb_timestamp_outside_video():
 
 
 # ---------------------------------------------------------------------------
-# uniform and label expansion
+# split energies
+
+def _triu_split_energies(feats, span_start, cand_lo, cand_hi, span_end):
+    """``change._split_energies`` written with np.triu, np.tril, .sum and .mean."""
+    window = feats[span_start : span_end + 1].astype(np.float64)
+    window -= window.mean(axis=0)
+    num = window.shape[0]
+    sq = np.einsum("ij,ij->i", window, window)
+    prefix = np.cumsum(window, axis=0)
+    suffix = np.cumsum(window[::-1], axis=0)[::-1]
+    blocks = []
+    for lo in range(cand_lo - span_start, cand_hi - span_start, change._BLOCK):
+        hi = min(lo + change._BLOCK, cand_hi - span_start)
+        splits = np.arange(lo, hi)
+        means_l = prefix[lo:hi] / (splits + 1)[:, None]
+        dist = change._cluster_distances(window[:hi], sq[:hi], means_l)
+        energy = dist[:lo].sum(axis=0) + np.triu(dist[lo:]).sum(axis=0)
+        means_r = suffix[lo + 1 : hi + 1] / (num - 1 - splits)[:, None]
+        dist = change._cluster_distances(window[lo + 1 :], sq[lo + 1 :], means_r)
+        energy += np.tril(dist[: hi - lo]).sum(axis=0) + dist[hi - lo :].sum(axis=0)
+        blocks.append(energy)
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize("candidates", [1, 255, 256, 257, 600, "random"])
+def test_split_energies_bit_equal_to_triangular_masks(candidates):
+    # candidate counts around one block (256) and over two; the random windows
+    # put the candidates anywhere inside a span, in float32 and float64
+    rng = np.random.default_rng(23)
+    for trial in range(40 if candidates == "random" else 4):
+        dim = int(rng.integers(1, 12))
+        count = int(rng.integers(1, 80)) if candidates == "random" else candidates
+        before, after = (int(n) for n in rng.integers(0, 30, size=2))
+        num_frames = before + count + 1 + after
+        feats = 5.0 * rng.standard_normal(dim) + rng.standard_normal((num_frames, dim))
+        feats = feats.astype((np.float32, np.float64)[trial % 2])
+        args = (0, before, before + count, num_frames - 1)
+        got = change._split_energies(feats, *args)
+        want = _triu_split_energies(feats, *args)
+        assert len(got) == count and got.tobytes() == want.tobytes(), (candidates, trial)
+
 
 def test_uniform_midpoints():
     ts = _ts([2, 8], [0, 1])

@@ -105,6 +105,16 @@ def test_synth_refuses_a_non_empty_directory(tmp_path, capsys):
     assert _tree_digest(root) == before
 
 
+def test_synth_refuses_a_negative_seed_before_generating(tmp_path, capsys, monkeypatch):
+    def no_generating(*args, **kwargs):
+        raise AssertionError("generated the corpus before checking --seed")
+
+    monkeypatch.setattr(data, "generate_synthetic", no_generating)
+    assert _run("synth", "--out", tmp_path / "corpus", "--seed", -1) == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not any(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # annotate
 
@@ -161,6 +171,33 @@ def test_refused_annotate_leaves_nothing_behind(tmp_path, capsys, case):
         message = f"video '{last}' has no ground-truth labels to sample from"
     before = _listing(tmp_path)
     assert _run("annotate", "--data", root, "--strategy", strategy) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert _listing(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--seed", -1], "--seed must be >= 0, got -1"),
+        (["--strategy", "fraction:abc"],
+         "sampling strategy 'fraction:abc': expected fraction:<p> with p a number"),
+        (["--strategy", "fraction:2"], "fraction must be in (0, 1], got 2.0"),
+        (["--strategy", "bogus"], "unknown sampling strategy 'bogus'"),
+    ],
+    ids=["seed", "fraction-text", "fraction-range", "name"],
+)
+def test_annotate_refuses_bad_flags_before_reading_the_corpus(
+    tmp_path, capsys, monkeypatch, flags, message
+):
+    root = _synth(tmp_path / "corpus")
+    before = _listing(tmp_path)
+    capsys.readouterr()
+
+    def no_reading(*args, **kwargs):
+        raise AssertionError("read the corpus before checking the flags")
+
+    monkeypatch.setattr(data, "load_corpus", no_reading)
+    assert _run("annotate", "--data", root, *flags) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert _listing(tmp_path) == before
 

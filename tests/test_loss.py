@@ -191,6 +191,70 @@ def test_conf_timestamp_outside():
         loss.conf_loss_grad(probs, _ts([7], [0]))
 
 
+def _per_stamp_conf_loss_grad(probs, timestamps):
+    """``loss.conf_loss_grad`` as one loop iteration per stamp, the form it replaced."""
+    probs = np.asarray(probs, dtype=np.float64)
+    frames, classes = timestamps.frames, timestamps.labels
+    count = len(frames)
+    logs, dlogs = loss._clamped_log(probs)
+    grad_logs = np.zeros_like(logs)
+    total = 0.0
+    for i in range(count):
+        lo = int(frames[i - 1]) if i > 0 else int(frames[0])
+        hi = int(frames[i + 1]) if i < count - 1 else int(frames[-1])
+        cls = int(classes[i])
+        t = np.arange(max(lo, 1), hi + 1)
+        if len(t) == 0:
+            continue
+        step = logs[t, cls] - logs[t - 1, cls]
+        away_right = t > int(frames[i])
+        delta = np.where(away_right, step, -step)
+        active = delta > 0.0
+        total += float(delta[active].sum())
+        sign = np.where(away_right, 1.0, -1.0) * active
+        grad_logs[t, cls] += sign
+        grad_logs[t - 1, cls] -= sign
+    norm = max(1.0, 2.0 * float(frames[-1] - frames[0]))
+    return total / norm, (grad_logs / norm) * dlogs
+
+
+def _conf_cases():
+    """Seeded (probs, stamps) cases, edge cases first, then random ones."""
+    rng = np.random.default_rng(22)
+    probs = _rand_probs(rng, 12, 3)
+    floored = probs.copy()
+    floored[::3, 0] = loss.LOG_FLOOR
+    floored[1::4, 1] = 0.0
+    floored[2::5, 2] = loss.LOG_FLOOR / 10
+    yield probs, _ts([4, 5], [0, 1])  # adjacent stamps
+    yield probs, _ts([0, 6, 11], [1, 0, 2])  # stamps at frame 0 and at T - 1
+    yield probs, _ts([0, 1, 2, 10, 11], [0, 1, 2, 0, 1])
+    for frame in (0, 5, 11):
+        yield probs, _ts([frame], [2])  # a single stamp
+    yield probs, _ts([1, 4, 8, 10], [1, 1, 1, 1])  # repeated classes
+    yield floored, _ts([0, 3, 7, 11], [0, 0, 1, 2])  # at or under LOG_FLOOR
+    for trial in range(300):
+        num_frames = int(rng.integers(1, 200))
+        num_classes = int(rng.integers(1, 6))
+        # sharp powers put some probabilities at or under the floor
+        probs = rng.random((num_frames, num_classes)) ** rng.uniform(1.0, 40.0)
+        if trial % 3 == 0:
+            probs[rng.random(probs.shape) < 0.2] = loss.LOG_FLOOR
+        count = int(rng.integers(1, min(num_frames, 12) + 1))
+        frames = np.sort(rng.choice(num_frames, size=count, replace=False))
+        yield probs, _ts(frames, rng.integers(0, num_classes, size=count))
+
+
+def test_conf_bit_equal_to_the_per_stamp_loop():
+    # each stamp's value is its own pairwise sum, added in stamp order;
+    # np.add.reduceat over the windows sums sequentially and fails this
+    for case, (probs, ts) in enumerate(_conf_cases()):
+        value, grad = loss.conf_loss_grad(probs, ts)
+        want_value, want_grad = _per_stamp_conf_loss_grad(probs, ts)
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes(), case
+        assert grad.dtype == want_grad.dtype and grad.tobytes() == want_grad.tobytes(), case
+
+
 # ---------------------------------------------------------------------------
 # total
 
