@@ -19,7 +19,6 @@ from .data import (
     load_timestamps,
     load_vocab,
     sample_timestamps,
-    sample_timestamps_fraction,
     segments_from_labels,
 )
 from .loss import LossWeights
@@ -76,7 +75,6 @@ __all__ = [
     "s2s_boundary",
     "s2s_boundary_prob",
     "sample_timestamps",
-    "sample_timestamps_fraction",
     "save_model",
     "segments_from_labels",
     "train",

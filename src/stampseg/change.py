@@ -61,7 +61,8 @@ def _split_energies(feats, span_start, cand_lo, cand_hi, span_end):
     O(_BLOCK L + L F) memory; no (frames, candidates, F) array is built.
     """
     window = feats[span_start : span_end + 1].astype(np.float64)
-    # The clamp below would turn a NaN distance into 0, so refuse non-finite frames.
+    # A NaN energy would make np.argmin return the first NaN's index, a boundary
+    # that no energy supports, so refuse non-finite frames.
     if not np.isfinite(window).all():
         raise ValueError("non-finite value in input features")
     num = window.shape[0]

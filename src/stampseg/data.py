@@ -229,11 +229,15 @@ def write_features(frames: np.ndarray, path) -> None:
 # ---------------------------------------------------------------------------
 # frame labels
 
-def load_labels(path, vocab: ActionVocab) -> np.ndarray:
+def load_labels(path, vocab: ActionVocab, num_frames: int) -> np.ndarray:
+    """The class of each frame of a num_frames-long video, one line per frame."""
     lines = _read_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty label file")
-    return _class_indices(path, vocab, enumerate(lines, start=1))
+    labels = _class_indices(path, vocab, enumerate(lines, start=1))
+    if len(labels) != num_frames:
+        raise ValueError(f"{path}: {len(labels)} labels for {num_frames} feature frames")
+    return labels
 
 
 def write_labels(labels: np.ndarray, vocab: ActionVocab, path) -> None:
@@ -244,15 +248,15 @@ def write_labels(labels: np.ndarray, vocab: ActionVocab, path) -> None:
 # ---------------------------------------------------------------------------
 # timestamps on disk
 
-def load_timestamps(path, vocab: ActionVocab, num_frames: int | None = None) -> TimestampSet:
+def load_timestamps(path, vocab: ActionVocab, num_frames: int) -> TimestampSet:
+    """The stamps of a num_frames-long video; every frame must fall inside it."""
     rows = _numbered_lines(path, "frame")
     if not rows:
         raise ValueError(f"{path}: empty timestamp file")
     labels = _class_indices(path, vocab, ((lineno, name) for lineno, _, name in rows))
     try:
         ts = TimestampSet([frame for _, frame, _ in rows], labels)
-        if num_frames is not None:
-            ts.check_within(num_frames)
+        ts.check_within(num_frames)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
     return ts
@@ -307,27 +311,30 @@ def parse_strategy(strategy: str) -> float | None:
         raise ValueError(
             f"sampling strategy {strategy!r}: expected fraction:<p> with p a number"
         ) from None
-    _check_fraction(fraction)
-    return fraction
-
-
-def _check_fraction(fraction: float) -> None:
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    return fraction
 
 
 def sample_timestamps(labels: np.ndarray, strategy: str, seed: int = 0) -> TimestampSet:
     """Pick one annotated frame per segment, or annotate a fraction of the frames.
 
     ``random`` draws uniformly inside each segment, ``center`` takes
-    floor((start + end - 1) / 2), ``start`` takes the first frame, and
-    ``fraction:<p>`` is ``sample_timestamps_fraction`` with fraction p.
+    floor((start + end - 1) / 2) and ``start`` takes the first frame.
+    ``fraction:<p>`` annotates ceil(p * T) distinct frames drawn without
+    replacement; segments may receive zero, one, or several annotations, so
+    consecutive entries can repeat a class.
     """
     fraction = parse_strategy(strategy)
-    if fraction is not None:
-        return sample_timestamps_fraction(labels, fraction, seed)
-    segments = segments_from_labels(labels)
     rng = np.random.default_rng(seed)
+    if fraction is not None:
+        labels = _check_labels(labels)
+        num_frames = len(labels)
+        # the 1e-9 slack keeps products like 0.1 * 300 from ceiling to 31; p <= 1 caps it at T
+        count = max(1, math.ceil(fraction * num_frames - 1e-9))
+        frames = np.sort(rng.choice(num_frames, size=count, replace=False))
+        return TimestampSet(frames, labels[frames])
+    segments = segments_from_labels(labels)
     if strategy == "random":
         frames = [rng.integers(start, end) for _, start, end in segments]
     elif strategy == "center":
@@ -335,22 +342,6 @@ def sample_timestamps(labels: np.ndarray, strategy: str, seed: int = 0) -> Times
     else:
         frames = [start for _, start, _ in segments]
     return TimestampSet(frames, [cls for cls, _, _ in segments])
-
-
-def sample_timestamps_fraction(labels: np.ndarray, fraction: float, seed: int = 0) -> TimestampSet:
-    """Annotate ceil(fraction * T) distinct frames drawn without replacement.
-
-    Segments may receive zero, one, or several annotations, so consecutive
-    entries can repeat a class.
-    """
-    labels = _check_labels(labels)
-    _check_fraction(fraction)
-    num_frames = len(labels)
-    # the 1e-9 slack keeps products like 0.1 * 300 from ceiling to 31; fraction <= 1 caps it at T
-    count = max(1, math.ceil(fraction * num_frames - 1e-9))
-    rng = np.random.default_rng(seed)
-    frames = np.sort(rng.choice(num_frames, size=count, replace=False))
-    return TimestampSet(frames, labels[frames])
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +431,17 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0) -> list[tuple[np.ndar
 # corpus directories
 
 def _video_names(bundle_path) -> list[str]:
+    """The bundle's video names in order; a name listed twice is refused by line."""
     names = []
-    for line in _read_lines(bundle_path):
+    for lineno, line in enumerate(_read_lines(bundle_path), start=1):
         line = line.strip()
         if not line:
             continue
         # split bundles from other tools list "<video>.txt"
-        names.append(line[:-4] if line.endswith(".txt") else line)
+        name = line[:-4] if line.endswith(".txt") else line
+        if name in names:
+            raise ValueError(f"{bundle_path}: line {lineno}: video {name!r} listed twice")
+        names.append(name)
     if not names:
         raise ValueError(f"{bundle_path}: empty split bundle")
     return names
@@ -493,14 +488,10 @@ def load_corpus(data_dir, split: str = "train") -> tuple[ActionVocab, list[Video
         labels = None
         gt = root / "groundTruth" / f"{name}.txt"
         if gt.exists():
-            labels = load_labels(gt, vocab)
-            if len(labels) != feats.shape[0]:
-                raise ValueError(
-                    f"{gt}: {len(labels)} labels for {feats.shape[0]} feature frames"
-                )
+            labels = load_labels(gt, vocab, feats.shape[0])
         ts = None
         ts_path = root / "timestamps" / f"{name}.txt"
         if ts_path.exists():
-            ts = load_timestamps(ts_path, vocab, num_frames=feats.shape[0])
+            ts = load_timestamps(ts_path, vocab, feats.shape[0])
         records.append(VideoRecord(name=name, features=feats, labels=labels, timestamps=ts))
     return vocab, records

@@ -309,6 +309,32 @@ def test_train_val_split_of_other_width_refused_by_name(tmp_path, capsys, monkey
     )
 
 
+@pytest.mark.parametrize("case", ["non-finite", "label-count"])
+def test_train_val_video_refused_by_file(tmp_path, capsys, monkeypatch, case):
+    root = _synth(tmp_path / "corpus", **{"--videos": 12})
+    name = "video_0010"
+    assert name in (root / "splits" / "test.bundle").read_text().split()
+    feats_path = root / "features" / f"{name}.npy"
+    num_frames = len(data.load_features(feats_path))
+    if case == "non-finite":
+        path = feats_path
+        raw = np.load(path)
+        raw[1, 3] = np.nan
+        np.save(path, raw)
+        message = f"{path}: non-finite value at frame 3, dim 1"
+    else:
+        path = root / "groundTruth" / f"{name}.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-4]), encoding="utf-8")
+        message = f"{path}: {num_frames - 4} labels for {num_frames} feature frames"
+    monkeypatch.setattr(net, "loss_and_grad", lambda *args, **kwargs: pytest.fail("trained"))
+    out = tmp_path / "m.bin"
+    assert _run("train", "--data", root, "--out", out, "--mode", "full",
+                "--val", "test", *TINY_NET) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_train_full_mode_checkpoint_ignores_stamps(tmp_path, capsys):
     root = _synth(tmp_path / "corpus")
     argv = ["--mode", "full", "--epochs", 2, "--warmup", 0, "--batch", 2, *TINY_NET]
@@ -476,7 +502,7 @@ def test_eval_pred_names_the_file_of_wrong_length(tmp_path, capsys):
     assert _run("eval", "--data", root, "--pred", pred_dir) == 1
     num = len(rec.labels)
     assert capsys.readouterr().err == (
-        f"error: {path}: {num - 1} predicted frames, {num} true frames\n"
+        f"error: {path}: {num - 1} labels for {num} feature frames\n"
     )
 
 
@@ -495,7 +521,7 @@ def test_boundaries_writes_labels_and_sidecars(tmp_path, capsys):
                 "--out", out_dir, "--boundary", "s2s_features") == 0
     vocab, records = data.load_corpus(root, split="train")
     for rec in records:
-        labels = data.load_labels(out_dir / f"{rec.name}.txt", vocab)
+        labels = data.load_labels(out_dir / f"{rec.name}.txt", vocab, rec.num_frames)
         assert len(labels) == len(rec.labels)
         np.testing.assert_array_equal(labels[rec.timestamps.frames], rec.timestamps.labels)
         sidecar = (out_dir / f"{rec.name}.bounds").read_text().splitlines()
@@ -526,7 +552,7 @@ def test_boundaries_sidecar_keeps_repeated_class_boundaries(tmp_path):
     assert [int(line.split()[0]) for line in lines] == [0, 1]
     bounds = np.array([int(line.split()[1]) for line in lines])
     assert np.all(ts.frames[:-1] <= bounds) and np.all(bounds < ts.frames[1:])
-    written = data.load_labels(out_dir / "v.txt", vocab)
+    written = data.load_labels(out_dir / "v.txt", vocab, 30)
     np.testing.assert_array_equal(written, change.labels_from_boundaries(ts, bounds, 30))
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import math
 import re
 
 import numpy as np
@@ -271,7 +272,7 @@ def test_labels_roundtrip(tmp_path):
     path = tmp_path / "v.txt"
     data.write_labels(labels, vocab, path)
     assert path.read_text() == "a\na\nc\nb\nb\n"
-    np.testing.assert_array_equal(data.load_labels(path, vocab), labels)
+    np.testing.assert_array_equal(data.load_labels(path, vocab, 5), labels)
 
 
 def test_labels_unknown_name(tmp_path):
@@ -279,7 +280,7 @@ def test_labels_unknown_name(tmp_path):
     path = tmp_path / "v.txt"
     path.write_text("a\nz\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 2.*unknown"):
-        data.load_labels(path, vocab)
+        data.load_labels(path, vocab, 2)
 
 
 def test_labels_empty_file(tmp_path):
@@ -287,7 +288,18 @@ def test_labels_empty_file(tmp_path):
     path = tmp_path / "v.txt"
     path.write_text("", encoding="utf-8")
     with pytest.raises(ValueError, match="empty label file"):
-        data.load_labels(path, vocab)
+        data.load_labels(path, vocab, 1)
+
+
+def test_labels_count_checked_after_names(tmp_path):
+    vocab = data.ActionVocab(("a",))
+    path = tmp_path / "v.txt"
+    path.write_text("a\na\n", encoding="utf-8")
+    with _refused(path, "2 labels for 3 feature frames$"):
+        data.load_labels(path, vocab, 3)
+    path.write_text("a\nz\n", encoding="utf-8")
+    with _refused(path, "line 2: unknown action name 'z'$"):
+        data.load_labels(path, vocab, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +321,7 @@ def test_timestamps_must_ascend(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("9 a\n2 b\n", encoding="utf-8")
     with pytest.raises(ValueError, match="strictly increasing"):
-        data.load_timestamps(path, vocab)
+        data.load_timestamps(path, vocab, 20)
 
 
 def test_timestamps_outside_video(tmp_path):
@@ -417,7 +429,7 @@ def test_sample_unknown_strategy():
 
 def test_fraction_count_300():
     labels = oracles.random_labels(np.random.default_rng(2), 300, 5)
-    ts = data.sample_timestamps_fraction(labels, 0.1, seed=4)
+    ts = data.sample_timestamps(labels, "fraction:0.1", seed=4)
     assert len(ts) == 30
     assert np.all(np.diff(ts.frames) > 0)
     np.testing.assert_array_equal(ts.labels, labels[ts.frames])
@@ -425,43 +437,53 @@ def test_fraction_count_300():
 
 def test_fraction_count_tiny():
     labels = oracles.random_labels(np.random.default_rng(2), 100, 3)
-    ts = data.sample_timestamps_fraction(labels, 0.01, seed=4)
+    ts = data.sample_timestamps(labels, "fraction:0.01", seed=4)
     assert len(ts) == 1
 
 
 def test_fraction_full_equals_gt():
     labels = oracles.random_labels(np.random.default_rng(3), 40, 3)
-    ts = data.sample_timestamps_fraction(labels, 1.0, seed=0)
+    ts = data.sample_timestamps(labels, "fraction:1.0", seed=0)
     np.testing.assert_array_equal(ts.frames, np.arange(40))
     np.testing.assert_array_equal(ts.labels, labels)
 
 
 def test_fraction_ceil_property():
-    import math
-
     rng = np.random.default_rng(9)
     for _ in range(30):
         num_frames = int(rng.integers(1, 200))
         labels = oracles.random_labels(rng, num_frames, 3)
         fraction = float(rng.uniform(0.01, 1.0))
-        ts = data.sample_timestamps_fraction(labels, fraction, seed=1)
+        ts = data.sample_timestamps(labels, f"fraction:{fraction}", seed=1)
         assert len(ts) == max(1, min(num_frames, math.ceil(fraction * num_frames - 1e-9)))
 
 
 def test_fraction_invalid():
     with pytest.raises(ValueError, match="fraction"):
-        data.sample_timestamps_fraction(np.array([0, 1]), 0.0)
+        data.sample_timestamps(np.array([0, 1]), "fraction:0.0")
     with pytest.raises(ValueError, match="fraction"):
-        data.sample_timestamps_fraction(np.array([0, 1]), 1.5)
+        data.sample_timestamps(np.array([0, 1]), "fraction:1.5")
+
+
+def _fraction_sampler(labels, fraction, seed):
+    """Reference for ``fraction:<p>``: ceil(p * T) distinct frames, sorted, from one Generator."""
+    num_frames = len(labels)
+    count = max(1, math.ceil(fraction * num_frames - 1e-9))
+    rng = np.random.default_rng(seed)
+    frames = np.sort(rng.choice(num_frames, size=count, replace=False))
+    return frames, labels[frames]
 
 
 def test_fraction_strategy_is_the_fraction_sampler():
-    labels = oracles.random_labels(np.random.default_rng(2), 300, 5)
-    for fraction in (0.01, 0.1, 1.0):
-        got = data.sample_timestamps(labels, f"fraction:{fraction}", seed=4)
-        want = data.sample_timestamps_fraction(labels, fraction, seed=4)
-        np.testing.assert_array_equal(got.frames, want.frames)
-        np.testing.assert_array_equal(got.labels, want.labels)
+    rng = np.random.default_rng(17)
+    cases = [(0.01, 300), (0.1, 300), (1.0, 300), (0.01, 1), (1.0, 1)]
+    cases += [(float(rng.uniform(0.001, 1.0)), int(rng.integers(1, 201))) for _ in range(40)]
+    for i, (fraction, num_frames) in enumerate(cases):
+        labels = oracles.random_labels(rng, num_frames, 5)
+        got = data.sample_timestamps(labels, f"fraction:{fraction}", seed=i)
+        frames, classes = _fraction_sampler(labels, fraction, seed=i)
+        np.testing.assert_array_equal(got.frames, frames)
+        np.testing.assert_array_equal(got.labels, classes)
 
 
 @pytest.mark.parametrize(
@@ -645,9 +667,10 @@ def test_corpus_skips_blank_bundle_lines(tmp_path):
         ("timestamps/v0.txt", "", "empty timestamp file$"),
         ("groundTruth/v0.txt", "a\n" * 19, "19 labels for 20 feature frames$"),
         ("splits/train.bundle", "\n  \n", "empty split bundle$"),
+        ("splits/train.bundle", "v0\nv1\n\nv0.txt\n", "line 4: video 'v0' listed twice$"),
     ],
     ids=["mapping-no-name", "mapping-number", "stamps-no-name", "stamps-number", "stamps-name",
-         "stamps-empty", "labels-count", "bundle-empty"],
+         "stamps-empty", "labels-count", "bundle-empty", "bundle-repeat"],
 )
 def test_corpus_refuses_a_bad_text_file(tmp_path, file, text, message):
     root = _small_corpus(tmp_path)

@@ -10,13 +10,17 @@ package under this checkout's ``src/``, with BLAS pinned to one thread:
 3. ``eval`` the ``fb`` checkpoint, and write ``boundaries`` with each method;
 4. ``train`` in full mode, which reads the labels and none of the stamps,
    then in naive and uniform mode, which read the stamps and none of the
-   labels.
+   labels;
+5. ``synth`` a second copy of the corpus, ``annotate`` it with
+   ``fraction:0.1``, whose consecutive stamps often repeat a class, and
+   ``train`` in timestamps mode on it.
 
-It prints one ``<output> <sha256 prefix>`` line per output, thirteen in all:
+It prints one ``<output> <sha256 prefix>`` line per output, fifteen in all:
 three timestamps-mode checkpoints, three logs, the ``eval`` line, each
-``boundaries`` directory's files concatenated in name order, and the full-,
-naive- and uniform-mode checkpoints. To check that a refactor keeps every
-seeded output, run it in the parent checkout and in the changed one and
+``boundaries`` directory's files concatenated in name order, the full-,
+naive- and uniform-mode checkpoints, and the second corpus's stamp files
+(concatenated in name order) and checkpoint. To check that a refactor keeps
+every seeded output, run it in the parent checkout and in the changed one and
 compare the lines. Another BLAS build may round differently, so compare runs
 made on one machine. The exit status is non-zero if any command fails.
 """
@@ -58,9 +62,10 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        corpus = tmp / "corpus"
-        stampseg("synth", "--out", corpus, "--videos", 12, "--classes", 4, "--frames", 150,
-                 "--dim", 8, "--seed", 3)
+        corpus, fraction = tmp / "corpus", tmp / "corpus_fraction"
+        for root in (corpus, fraction):
+            stampseg("synth", "--out", root, "--videos", 12, "--classes", 4, "--frames", 150,
+                     "--dim", 8, "--seed", 3)
         stampseg("annotate", "--data", corpus, "--strategy", "random", "--seed", 1)
         lines = []
         for method in METHODS:
@@ -81,6 +86,12 @@ def main() -> int:
             model = tmp / f"{mode}.bin"
             stampseg("train", "--data", corpus, "--out", model, "--mode", mode, *TRAIN)
             lines.append((model.name, _digest(model)))
+        stampseg("annotate", "--data", fraction, "--strategy", "fraction:0.1", "--seed", 1)
+        lines.append(("timestamps_fraction",
+                      _digest(*sorted((fraction / "timestamps").iterdir()))))
+        model = tmp / "fraction.bin"
+        stampseg("train", "--data", fraction, "--out", model, "--mode", "timestamps", *TRAIN)
+        lines.append((model.name, _digest(model)))
     for name, prefix in lines:
         print(f"{name} {prefix}")
     return 0
