@@ -72,11 +72,13 @@ def cmd_synth(args) -> int:
 def cmd_annotate(args) -> int:
     _check_seed(args.seed)
     data.parse_strategy(args.strategy)  # refused before the corpus is read
+    out_dir = Path(args.data) / "timestamps"
+    if out_dir.exists() and not out_dir.is_dir():
+        raise ValueError(f"{out_dir}: is not a directory")
     vocab, records = data.load_corpus(args.data, split=args.split)
     # sample every video before the first write, so a refused run leaves nothing behind
     _require(records, "labels", "ground-truth labels to sample from")
     stamps = [data.sample_timestamps(r.labels, args.strategy, seed=args.seed) for r in records]
-    out_dir = Path(args.data) / "timestamps"
     out_dir.mkdir(exist_ok=True)
     for rec, ts in zip(records, stamps):
         data.write_timestamps(ts, vocab, out_dir / f"{rec.name}.txt")
@@ -136,20 +138,17 @@ def cmd_train(args) -> int:
         _check_widths("the model", model_config.input_dim, val_records)
         val_data = [(r.features, r.labels) for r in val_records]
 
-    on_epoch = None
-    if args.save_every > 0:
-        out_path = Path(args.out)
-
-        def on_epoch(epoch, model, entry, path=out_path, every=args.save_every):
-            if epoch % every == 0:
-                net.save_model(model, path)
+    def on_epoch(epoch, model, entry):
+        if val_data is not None:
+            entry.report = pipeline.evaluate(model, val_data)
+        if args.save_every > 0 and epoch % args.save_every == 0:
+            net.save_model(model, args.out)
 
     model, logs = pipeline.train(
         dataset,
         annotations,
         config,
         model_config,
-        val_data=val_data,
         on_epoch=on_epoch,
         names=[r.name for r in records],
     )
@@ -200,6 +199,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_boundaries(args) -> int:
+    out_dir = Path(args.out)
+    if out_dir.exists() and not out_dir.is_dir():
+        raise ValueError(f"--out {out_dir}: is not a directory")
     vocab, records = data.load_corpus(args.data, split=args.split)
     _require(records, "timestamps", "timestamps")
     model = _load_model_for(args.model, vocab, records)
@@ -210,7 +212,6 @@ def cmd_boundaries(args) -> int:
         bounds = pipeline.pseudo_boundaries(outputs, rec.timestamps, args.boundary)
         labels = change.labels_from_boundaries(rec.timestamps, bounds, len(rec.features))
         results.append((rec.name, labels, bounds))
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, labels, bounds in results:
         data.write_labels(labels, vocab, out_dir / f"{name}.txt")

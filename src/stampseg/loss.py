@@ -136,7 +136,7 @@ def conf_loss_grad(probs, timestamps: TimestampSet) -> tuple[float, np.ndarray]:
     # every window's frames sit in one run of index arrays, stamp after stamp
     lo = np.maximum(np.concatenate((frames[:1], frames[:-1])), 1)
     hi = np.concatenate((frames[1:], frames[-1:]))
-    sizes = np.maximum(hi - lo + 1, 0)
+    sizes = hi - lo + 1  # 0 only for a lone stamp at frame 0
     ends = np.cumsum(sizes)
     starts = ends - sizes
     t = np.arange(ends[-1]) + np.repeat(lo - starts, sizes)
@@ -147,11 +147,10 @@ def conf_loss_grad(probs, timestamps: TimestampSet) -> tuple[float, np.ndarray]:
     active = delta > 0.0
     # each stamp's value is its own pairwise sum, added in stamp order
     # (np.add.reduceat would sum each window sequentially, in other bits)
-    gains = delta[active]
-    before = np.concatenate(([0], np.cumsum(active)))  # active entries ahead of each index
     total = 0.0
-    for a, b in zip(before[starts].tolist(), before[ends].tolist()):
-        total += float(gains[a:b].sum())
+    for a, b in zip(starts.tolist(), ends.tolist()):
+        window = delta[a:b]
+        total += float(window[window > 0.0].sum())
     sign = np.where(away_right, 1.0, -1.0) * active
     # +sign at (t, cls) and -sign at (t - 1, cls); the signs are small integers,
     # so the scattered sums are exact in any order

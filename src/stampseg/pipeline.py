@@ -18,6 +18,8 @@ and the seed. Features and models are float32 wherever a caller sees them.
 Float64 lives only in the training loop's optimiser (master weights and Adam
 moments and the batch sum, into which each video's backward pass adds its
 gradients, in batch order), refreshing the float32 model after every Adam step.
+``train`` runs no validation itself: its one per-epoch hook, ``on_epoch``, may
+score the model and set the epoch's ``entry.report``.
 """
 
 import math
@@ -169,7 +171,6 @@ def train(
     annotations,
     config: TrainConfig,
     model_config: net.ModelConfig,
-    val_data=None,
     on_epoch=None,
     names=None,
 ) -> tuple[net.ModelState, list[EpochLog]]:
@@ -179,10 +180,11 @@ def train(
     and ``annotations`` a parallel sequence of timestamp sets (or None per
     video, or None entirely); ``_recipe`` reads them before the first step.
     Float32 features are used as they are; others are converted to float32
-    once. ``val_data`` is an optional non-empty (features, labels) list
-    evaluated after each epoch. ``on_epoch(epoch, model, entry)`` runs after
-    each epoch when given. Validation, ``on_epoch`` and the return
-    value all see the float32 model that ``net.save_model`` writes bit for
+    once. ``on_epoch(epoch, model, entry)`` runs after each epoch when given;
+    it may set ``entry.report``, as ``stampseg train --val`` does with
+    ``evaluate``, whose checks then run after the first epoch (a label outside
+    the model's classes counts as a wrong frame there). ``on_epoch`` and the
+    return value see the float32 model that ``net.save_model`` writes bit for
     bit; the float64 master weights and Adam moments never leave this loop.
     A refusal or a divergence names a training video as ``video 'name'``
     from the optional parallel sequence ``names``, else as ``video i``.
@@ -206,15 +208,6 @@ def train(
         _recipe(config.supervision, config.boundary_method, where[i], model, feats, labels, ts)
         for i, ((feats, labels), ts) in enumerate(zip(dataset, annotations))
     ]
-    if val_data is not None:
-        val_data = list(val_data)
-        if not val_data:
-            raise ValueError("val_data is empty")
-    for i, (feats, labels) in enumerate(val_data or ()):
-        if labels is None:
-            raise ValueError(f"val_data video {i} has no frame labels")
-        _check_video(f"val_data video {i}", model, feats, labels)
-
     adam = net.AdamState.zeros(master.params)
     shuffle_rng = np.random.default_rng([config.seed, 1])
     logs: list[EpochLog] = []
@@ -238,8 +231,6 @@ def train(
             net.adam_step(master, adam, batch_grads, config.lr)
             model = _float32(master)
         entry = EpochLog(epoch=epoch, mean_loss=float(np.mean(epoch_losses)))
-        if val_data is not None:
-            entry.report = evaluate(model, val_data)
         logs.append(entry)
         if on_epoch is not None:
             on_epoch(epoch, model, entry)

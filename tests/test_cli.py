@@ -202,6 +202,17 @@ def test_annotate_refuses_bad_flags_before_reading_the_corpus(
     assert _listing(tmp_path) == before
 
 
+def test_annotate_refuses_a_timestamps_file_before_reading_the_corpus(
+    tmp_path, capsys, monkeypatch
+):
+    root = tmp_path / "corpus"
+    root.mkdir()
+    (root / "timestamps").write_text("not a directory\n")
+    _no_corpus_loading(monkeypatch)
+    assert _run("annotate", "--data", root) == 1
+    assert capsys.readouterr().err == f"error: {root / 'timestamps'}: is not a directory\n"
+
+
 # ---------------------------------------------------------------------------
 # train / eval
 
@@ -243,6 +254,37 @@ def test_train_val_log_matches_eval(tmp_path, capsys):
     capsys.readouterr()
     assert _run("eval", "--data", root, "--model", model_path, "--split", "test") == 0
     assert capsys.readouterr().out == "\t".join(log_lines[-1].split("\t")[2:]) + "\n"
+
+
+def test_train_val_log_line_scores_that_epochs_checkpoint(tmp_path, capsys, monkeypatch):
+    root = _synth(tmp_path / "corpus")
+    model_path = tmp_path / "model.bin"
+    log_path = tmp_path / "train.log"
+    saved = []
+    real_save = net.save_model
+
+    def keep_each_save(model, path):
+        real_save(model, path)
+        kept = tmp_path / f"save{len(saved) + 1}.bin"
+        kept.write_bytes(Path(path).read_bytes())
+        saved.append(kept)
+
+    monkeypatch.setattr(net, "save_model", keep_each_save)
+    assert _run(
+        "train", "--data", root, "--out", model_path, "--log", log_path, "--val", "test",
+        "--save-every", 1, "--mode", "full", "--epochs", 3, "--warmup", 0, "--batch", 2,
+        *TINY_NET,
+    ) == 0
+    # one save per epoch, then the final one, which is the last epoch's model
+    assert len(saved) == 4
+    assert saved[2].read_bytes() == saved[3].read_bytes()
+    log_lines = log_path.read_text().splitlines()
+    assert len(log_lines) == 3
+    # each epoch's validation scored the model that the same epoch saved
+    for line, checkpoint in zip(log_lines, saved):
+        capsys.readouterr()
+        assert _run("eval", "--data", root, "--model", checkpoint, "--split", "test") == 0
+        assert capsys.readouterr().out == "\t".join(line.split("\t")[2:]) + "\n"
 
 
 def test_train_timestamps_mode_runs(tmp_path, capsys):
@@ -570,6 +612,17 @@ def test_refused_boundaries_leaves_nothing_behind(tmp_path, capsys):
                 "--out", tmp_path / "pseudo") == 1
     assert capsys.readouterr().err == f"error: video '{last}' has no timestamps\n"
     assert _listing(tmp_path) == before
+
+
+def test_boundaries_refuses_an_out_file_before_reading_the_corpus(
+    tmp_path, capsys, monkeypatch
+):
+    out = tmp_path / "pseudo"
+    out.write_text("not a directory\n")
+    _no_corpus_loading(monkeypatch)
+    assert _run("boundaries", "--data", tmp_path, "--model", tmp_path / "m.bin",
+                "--out", out) == 1
+    assert capsys.readouterr().err == f"error: --out {out}: is not a directory\n"
 
 
 def test_eval_names_the_first_video_without_ground_truth(tmp_path, capsys, monkeypatch):

@@ -133,15 +133,10 @@ def test_training_steps_run_in_float32_on_float64_master_weights(monkeypatch):
     assert _dtypes(model.params) == {np.dtype(np.float32)}
 
 
-def test_train_hands_out_one_float32_model_equal_to_its_checkpoint(monkeypatch, tmp_path):
+def test_train_hands_out_one_float32_model_equal_to_its_checkpoint(tmp_path):
     pairs = _corpus(noise=0.2, videos=3, seed=4)
     annotations = _annotate(pairs, seed=2)
-    validated, epochs = [], []
-    real_evaluate = pipeline.evaluate
-
-    def evaluate_spy(model, dataset):
-        validated.append(model)
-        return real_evaluate(model, dataset)
+    epochs = []
 
     def on_epoch(epoch, model, entry):
         epochs.append(model)
@@ -151,21 +146,14 @@ def test_train_hands_out_one_float32_model_equal_to_its_checkpoint(monkeypatch, 
         for key, value in model.params.items():
             np.testing.assert_array_equal(saved.params[key], value, strict=True)
 
-    monkeypatch.setattr(pipeline, "evaluate", evaluate_spy)
     config = pipeline.TrainConfig(
         epochs=3, warmup_epochs=1, batch_size=2, supervision="timestamps", seed=2
     )
-    model, logs = pipeline.train(
-        pairs, annotations, config, _model_config(6, 3), val_data=pairs, on_epoch=on_epoch
-    )
-    assert len(validated) == len(epochs) == 3
-    # validation and on_epoch see the same model, and train returns the last one
-    assert all(v is e for v, e in zip(validated, epochs))
+    model, _ = pipeline.train(pairs, annotations, config, _model_config(6, 3), on_epoch=on_epoch)
+    assert len(epochs) == 3
+    # train returns the model that on_epoch saw last
     assert epochs[-1] is model
     assert all(_dtypes(m.params) == {np.dtype(np.float32)} for m in epochs)
-    # a reloaded checkpoint scores what validation reported
-    final = net.load_model(tmp_path / "epoch3.bin")
-    assert real_evaluate(final, pairs) == logs[-1].report
 
 
 def test_train_takes_float32_features_without_a_copy(monkeypatch):
@@ -363,26 +351,6 @@ def test_epoch_log_format():
     assert lines[1] == "2\t1.000000\t90.0\t80.0\t70.5\t60.0\t50.0"
 
 
-def test_val_data_adds_reports():
-    pairs = _corpus(noise=0.1, videos=2, seed=12)
-    config = pipeline.TrainConfig(epochs=2, warmup_epochs=0, supervision="full", batch_size=2)
-    _, logs = pipeline.train(pairs, None, config, _model_config(6, 3), val_data=pairs)
-    assert all(e.report is not None for e in logs)
-
-
-def test_val_data_without_labels_refused_before_training(monkeypatch):
-    pairs = _corpus(noise=0.1, videos=3, seed=12)
-    val_data = [pairs[0], (pairs[1][0], None), pairs[2]]
-
-    def untouched(*args, **kwargs):
-        raise AssertionError("trained before checking val_data")
-
-    monkeypatch.setattr(net, "loss_and_grad", untouched)
-    config = pipeline.TrainConfig(epochs=1, warmup_epochs=0, supervision="full")
-    with pytest.raises(ValueError, match="val_data video 1 has no frame labels"):
-        pipeline.train(pairs, None, config, _model_config(6, 3), val_data=val_data)
-
-
 def _narrowed(pair):
     feats, labels = pair
     return feats[:, :5], labels
@@ -426,15 +394,10 @@ STAMP_RANGE = r"^video 1: timestamp class index out of range for 3 classes$"
         ("train", "full", _narrowed,
          r"^video 1: features of shape \(\d+, 5\), the model takes \(T, 6\)$"),
         ("train", "timestamps", _narrowed, r"^video 1: features of shape \(\d+, 5\)"),
-        ("val", "timestamps", _narrowed, r"val_data video 1: features of shape \(\d+, 5\)"),
-        ("val", "timestamps", _cut_labels, r"val_data video 1: \d+ labels for \d+ frames"),
         ("train", "full", _cut_labels, r"^video 1: \d+ labels for \d+ frames"),
         ("train", "naive", _with_nan, f"^video 1: {NONFINITE}$"),
-        ("val", "naive", _with_nan, f"^val_data video 1: {NONFINITE}$"),
         ("train", "full", _label_out_of_range,
          r"^video 1: target class index out of range for 3 classes$"),
-        ("val", "naive", _label_out_of_range,
-         r"^val_data video 1: target class index out of range for 3 classes$"),
         ("stamps", "naive", _stamp_out_of_range, STAMP_RANGE),
         ("stamps", "uniform", _stamp_out_of_range, STAMP_RANGE),
         ("stamps", "timestamps", _stamp_out_of_range, STAMP_RANGE),
@@ -442,25 +405,18 @@ STAMP_RANGE = r"^video 1: timestamp class index out of range for 3 classes$"
          r"^video 1: features must be a \(T, D\) array with T >= 1$"),
         ("stamp list", "naive", lambda stamps: stamps[:-1],
          "^annotations and dataset differ in length$"),
-        ("val list", "full", lambda val: [], "^val_data is empty$"),
     ],
-    ids=["train-width-full", "train-width-timestamps", "val-width", "val-labels",
-         "train-labels-full", "train-nan", "val-nan", "train-class-full", "val-class",
-         "stamp-class-naive", "stamp-class-uniform", "stamp-class-timestamps",
-         "train-no-frames", "stamp-list-length", "val-list-empty"],
+    ids=["train-width-full", "train-width-timestamps", "train-labels-full", "train-nan",
+         "train-class-full", "stamp-class-naive", "stamp-class-uniform",
+         "stamp-class-timestamps", "train-no-frames", "stamp-list-length"],
 )
 def test_unusable_video_refused_before_training(monkeypatch, where, mode, edit, match):
     pairs = _corpus(noise=0.1, videos=3, seed=12)
     annotations = _annotate(pairs)
-    val_data = list(pairs)
     if where == "train":
         pairs[1] = edit(pairs[1])
-    elif where == "val":
-        val_data[1] = edit(val_data[1])
     elif where == "stamps":
         annotations[1] = edit(annotations[1])
-    elif where == "val list":
-        val_data = edit(val_data)
     else:
         annotations = edit(annotations)
 
@@ -470,7 +426,7 @@ def test_unusable_video_refused_before_training(monkeypatch, where, mode, edit, 
     monkeypatch.setattr(net, "loss_and_grad", untouched)
     config = pipeline.TrainConfig(epochs=1, warmup_epochs=0, supervision=mode)
     with pytest.raises(ValueError, match=match):
-        pipeline.train(pairs, annotations, config, _model_config(6, 3), val_data=val_data)
+        pipeline.train(pairs, annotations, config, _model_config(6, 3))
 
 
 @pytest.mark.parametrize(

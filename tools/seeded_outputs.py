@@ -13,15 +13,18 @@ package under this checkout's ``src/``, with BLAS pinned to one thread:
    labels;
 5. ``synth`` a second copy of the corpus, ``annotate`` it with
    ``fraction:0.1``, whose consecutive stamps often repeat a class, and
-   ``train`` in timestamps mode on it.
+   ``train`` in timestamps mode on it;
+6. ``train`` as in step 2 with ``fb`` once more, validating on the test split
+   and checkpointing every third epoch, so that both run through the one
+   per-epoch hook; its checkpoint equals ``fb.bin``.
 
-It prints one ``<output> <sha256 prefix>`` line per output, fifteen in all:
+It prints one ``<output> <sha256 prefix>`` line per output, sixteen in all:
 three timestamps-mode checkpoints, three logs, the ``eval`` line, each
 ``boundaries`` directory's files concatenated in name order, the full-,
-naive- and uniform-mode checkpoints, and the second corpus's stamp files
-(concatenated in name order) and checkpoint. To check that a refactor keeps
-every seeded output, run it in the parent checkout and in the changed one and
-compare the lines. Another BLAS build may round differently, so compare runs
+naive- and uniform-mode checkpoints, the second corpus's stamp files
+(concatenated in name order) and checkpoint, and the validated run's log. To
+check that a refactor keeps every seeded output, run it in the parent checkout
+and in the changed one and compare the lines. Another BLAS build may round differently, so compare runs
 made on one machine. The exit status is non-zero if any command fails.
 """
 
@@ -92,6 +95,10 @@ def main() -> int:
         model = tmp / "fraction.bin"
         stampseg("train", "--data", fraction, "--out", model, "--mode", "timestamps", *TRAIN)
         lines.append((model.name, _digest(model)))
+        log = tmp / "val.log"
+        stampseg("train", "--data", corpus, "--out", tmp / "val.bin", "--mode", "timestamps",
+                 "--boundary", "fb", *TRAIN, "--val", "test", "--save-every", 3, "--log", log)
+        lines.append((log.name, _digest(log)))
     for name, prefix in lines:
         print(f"{name} {prefix}")
     return 0
