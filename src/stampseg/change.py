@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import TimestampSet, _check_classes
 
-BOUNDARY_METHODS = ("fb", "s2s_features", "s2s_prob")
+BOUNDARY_METHODS = ("fb", "s2s_features", "s2s_prob", "uniform")
 
 # Candidate splits scored per matrix product in _split_energies; it bounds that
 # function's working memory to a few (window frames x _BLOCK) float64 arrays.

@@ -38,12 +38,29 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"--seed must be >= 0, got {seed}")
 
 
+def _check_out_dir(name: str, path: Path, empty: bool = False) -> None:
+    """Refuse an output directory before any work, under ``name``.
+
+    Refused: a ``path`` that exists and is not a directory, one whose nearest
+    existing ancestor is not a directory, and, with ``empty``, a directory
+    that holds anything.
+    """
+    if path.exists():
+        if not path.is_dir():
+            raise ValueError(f"{name}: is not a directory")
+        if empty and any(path.iterdir()):
+            raise ValueError(f"{name}: directory is not empty")
+        return
+    ancestor = next(p for p in path.parents if p.exists())
+    if not ancestor.is_dir():
+        raise ValueError(f"{name}: {ancestor} is not a directory")
+
+
 def cmd_synth(args) -> int:
     _check_seed(args.seed)
     # stale files, timestamps/ among them, would be read with the new corpus
     out = Path(args.out)
-    if out.is_dir() and any(out.iterdir()):
-        raise ValueError(f"--out {out}: directory is not empty")
+    _check_out_dir(f"--out {out}", out, empty=True)
     spec = data.SyntheticSpec(
         videos=args.videos,
         num_classes=args.classes,
@@ -73,8 +90,7 @@ def cmd_annotate(args) -> int:
     _check_seed(args.seed)
     data.parse_strategy(args.strategy)  # refused before the corpus is read
     out_dir = Path(args.data) / "timestamps"
-    if out_dir.exists() and not out_dir.is_dir():
-        raise ValueError(f"{out_dir}: is not a directory")
+    _check_out_dir(str(out_dir), out_dir)
     vocab, records = data.load_corpus(args.data, split=args.split)
     # sample every video before the first write, so a refused run leaves nothing behind
     _require(records, "labels", "ground-truth labels to sample from")
@@ -200,8 +216,7 @@ def cmd_eval(args) -> int:
 
 def cmd_boundaries(args) -> int:
     out_dir = Path(args.out)
-    if out_dir.exists() and not out_dir.is_dir():
-        raise ValueError(f"--out {out_dir}: is not a directory")
+    _check_out_dir(f"--out {out_dir}", out_dir)
     vocab, records = data.load_corpus(args.data, split=args.split)
     _require(records, "timestamps", "timestamps")
     model = _load_model_for(args.model, vocab, records)
@@ -259,10 +274,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", default=None, help="write per-epoch log lines here")
     p.add_argument("--split", default="train")
     p.add_argument("--val", default=None, help="split to evaluate after each epoch")
-    p.add_argument("--mode", default=train_cfg.supervision, choices=pipeline.SUPERVISION_MODES)
-    p.add_argument("--boundary", default=train_cfg.boundary_method, choices=change.BOUNDARY_METHODS)
+    p.add_argument("--mode", default=train_cfg.supervision, choices=pipeline.SUPERVISION_MODES,
+                   help="full trains on the labels, the others on the stamps; naive (all "
+                        "warmup) and uniform (the uniform rule, no warmup) are fixed "
+                        "schedules and, like full, ignore --warmup and --boundary")
+    p.add_argument("--boundary", default=train_cfg.boundary_method, choices=change.BOUNDARY_METHODS,
+                   help="label rule of --mode timestamps")
     p.add_argument("--epochs", type=int, default=train_cfg.epochs)
-    p.add_argument("--warmup", type=int, default=train_cfg.warmup_epochs)
+    p.add_argument("--warmup", type=int, default=train_cfg.warmup_epochs,
+                   help="epochs on the stamp frames alone in --mode timestamps")
     p.add_argument("--lr", type=float, default=train_cfg.lr)
     p.add_argument("--batch", type=int, default=train_cfg.batch_size)
     p.add_argument("--alpha", type=float, default=LossWeights.alpha)

@@ -2,16 +2,20 @@
 
 Supervision modes
 -----------------
-``_recipe`` builds each video's targets once, before the first training step:
-timestamps  the annotated frames only in warmup, then dense pseudo-labels
-            made at every step from the forward pass that the step trains on.
-full        dense ground-truth labels for every frame.
-naive       the annotated frames only, for the whole run.
-uniform     dense labels from midpoint boundaries, for the whole run.
+``_recipe`` builds each video's targets once, before the first training step,
+from one of two inputs. ``full`` trains on the frame labels for the whole run.
+Every other mode reads the stamps: the annotated frames only in warmup, then
+dense labels that a label rule (a row of ``pseudo_boundaries``) makes at every
+step from the forward pass that the step trains on. ``train`` gives each stamp
+mode its (rule, warmup epochs):
+timestamps  (``boundary_method``, ``warmup_epochs``).
+naive       (``boundary_method``, ``epochs``): the annotated frames only.
+uniform     (``"uniform"``, 0): midpoint labels for the whole run.
 
-``full`` reads only the frame labels and the other modes only the stamps,
-whatever else a video holds. The smoothing term always applies; the
-confidence term applies in every mode but ``full``, whose loss is MS-TCN's.
+So ``warmup_epochs`` and ``boundary_method`` act in ``timestamps`` mode alone.
+A mode reads its one input, whatever else a video holds. The smoothing term
+always applies; the confidence term applies in every mode but ``full``, whose
+loss is MS-TCN's.
 One optimizer step is taken per batch of videos, with per-video gradients
 summed in batch order, so a run is a pure function of the data, the configs,
 and the seed. Features and models are float32 wherever a caller sees them.
@@ -83,16 +87,20 @@ def format_log(entries: list[EpochLog]) -> str:
 def pseudo_boundaries(
     outputs: net.StageOutputs, timestamps: TimestampSet, method: str = "fb"
 ) -> np.ndarray:
-    """The estimator's N-1 boundaries for one video's N timestamps (empty for one).
+    """The label rule's N-1 boundaries for one video's N timestamps (empty for one).
 
-    ``fb`` and ``s2s_features`` split on the penultimate activations,
-    ``s2s_prob`` on the final-stage probabilities, each passed as it is.
+    This is the one table of label rules. ``fb`` and ``s2s_features`` split
+    on the penultimate activations, ``s2s_prob`` on the final-stage
+    probabilities, each passed as it is; ``uniform`` takes the midpoints
+    between stamps and reads no output.
     """
     frames, classes = timestamps.frames, timestamps.labels
     pairs = range(len(frames) - 1)
     feats, probs = outputs.penultimate, outputs.probs[-1]
     if method == "fb":
         return change.fb_boundaries(feats, timestamps, feats.shape[0])
+    if method == "uniform":
+        return change.uniform_boundaries(timestamps, feats.shape[0])
     if method == "s2s_features":
         bounds = [change.s2s_boundary(feats, int(frames[i]), int(frames[i + 1])) for i in pairs]
     elif method == "s2s_prob":
@@ -139,26 +147,19 @@ def _check_video(where: str, model: net.ModelState, feats, labels=None, stamps=N
     return feats
 
 
-def _recipe(mode: str, method: str, where: str, model: net.ModelState, feats, labels, ts):
+def _recipe(mode: str, rule: str, where: str, model: net.ModelState, feats, labels, ts):
     """One video's features, stamps, and warmup and later (target, mask) (module docstring)."""
     labels, ts = (labels, None) if mode == "full" else (None, ts)
     if labels is None and ts is None:
         read = "labels" if mode == "full" else "timestamps"
         raise ValueError(f"{where} has no {read} for mode {mode!r}")
     feats = _check_video(where, model, feats, labels, ts)
-    num_frames = feats.shape[0]
-    if mode == "full":
-        warm = labels, None
-    elif mode == "uniform":
-        bounds = change.uniform_boundaries(ts, num_frames)
-        warm = change.labels_from_boundaries(ts, bounds, num_frames), None
-    else:
-        target = np.zeros(num_frames, dtype=np.int64)
-        target[ts.frames] = ts.labels
-        warm = target, ts.frames
-    if mode == "timestamps":  # each later step labels the frames from its own forward pass
-        return feats, ts, warm, (lambda out: pseudo_labels(out, ts, method), None)
-    return feats, ts, warm, warm
+    if labels is not None:
+        return feats, None, (labels, None), (labels, None)
+    target = np.zeros(feats.shape[0], dtype=np.int64)
+    target[ts.frames] = ts.labels
+    # each later step labels the frames from its own forward pass
+    return feats, ts, (target, ts.frames), (lambda out: pseudo_labels(out, ts, rule), None)
 
 
 def _float32(m: net.ModelState) -> net.ModelState:
@@ -202,10 +203,15 @@ def train(
         where = [f"video {name!r}" for name in names]
     else:
         raise ValueError("names and dataset differ in length")
+    # naive and uniform are fixed schedules of the stamp recipe (module docstring)
+    rule, warmup = {
+        "naive": (config.boundary_method, config.epochs),
+        "uniform": ("uniform", 0),
+    }.get(config.supervision, (config.boundary_method, config.warmup_epochs))
     master = net.init_model(model_config, config.seed)
     model = _float32(master)
     videos = [
-        _recipe(config.supervision, config.boundary_method, where[i], model, feats, labels, ts)
+        _recipe(config.supervision, rule, where[i], model, feats, labels, ts)
         for i, ((feats, labels), ts) in enumerate(zip(dataset, annotations))
     ]
     adam = net.AdamState.zeros(master.params)
@@ -218,7 +224,7 @@ def train(
             batch_grads = {k: np.zeros_like(p) for k, p in master.params.items()}
             for vi in order[start : start + config.batch_size]:
                 feats, ts, warm, late = videos[vi]
-                target, mask = warm if epoch <= config.warmup_epochs else late
+                target, mask = warm if epoch <= warmup else late
                 try:  # the backward pass adds this video's gradients into the batch sum
                     value, _ = net.loss_and_grad(
                         model, feats, target, mask, ts, config.weights, batch_grads

@@ -575,6 +575,27 @@ def test_boundaries_writes_labels_and_sidecars(tmp_path, capsys):
             assert int(bound) == segs[i][2] - 1
 
 
+def test_boundaries_uniform_writes_the_midpoint_rule(tmp_path, capsys):
+    root = _synth(tmp_path / "corpus")
+    assert _run("annotate", "--data", root, "--strategy", "random") == 0
+    model_path = tmp_path / "model.bin"
+    config = net.ModelConfig(input_dim=6, num_classes=3, num_stages=1,
+                             layers_per_stage=2, channels=4)
+    net.save_model(net.init_model(config, seed=0), model_path)
+    out_dir = tmp_path / "pseudo"
+    assert _run("boundaries", "--data", root, "--model", model_path,
+                "--out", out_dir, "--boundary", "uniform") == 0
+    vocab, records = data.load_corpus(root, split="train")
+    for rec in records:
+        bounds = change.uniform_boundaries(rec.timestamps, rec.num_frames)
+        sidecar = "".join(f"{i} {b}\n" for i, b in enumerate(bounds))
+        assert (out_dir / f"{rec.name}.bounds").read_text() == sidecar
+        np.testing.assert_array_equal(
+            data.load_labels(out_dir / f"{rec.name}.txt", vocab, rec.num_frames),
+            change.labels_from_boundaries(rec.timestamps, bounds, rec.num_frames),
+        )
+
+
 def test_boundaries_sidecar_keeps_repeated_class_boundaries(tmp_path):
     vocab = data.ActionVocab(("a", "b", "c"))
     feats = np.random.default_rng(0).standard_normal((30, 6))
@@ -623,6 +644,48 @@ def test_boundaries_refuses_an_out_file_before_reading_the_corpus(
     assert _run("boundaries", "--data", tmp_path, "--model", tmp_path / "m.bin",
                 "--out", out) == 1
     assert capsys.readouterr().err == f"error: --out {out}: is not a directory\n"
+
+
+def test_out_at_or_under_a_file_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    root = _synth(tmp_path / "corpus")
+    assert _run("annotate", "--data", root, "--strategy", "center") == 0
+    model_path = tmp_path / "model.bin"
+    config = net.ModelConfig(input_dim=6, num_classes=3, num_stages=1,
+                             layers_per_stage=2, channels=4)
+    net.save_model(net.init_model(config, seed=0), model_path)
+    file = tmp_path / "f"
+    file.write_text("not a directory\n")
+    work = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            work.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(data, "generate_synthetic")
+    spy(net, "forward")
+    before = _listing(tmp_path)
+    capsys.readouterr()
+    sub = file / "sub"
+    for argv, message in [
+        (["boundaries", "--data", root, "--model", model_path, "--out", sub],
+         f"--out {sub}: {file} is not a directory"),
+        (["synth", "--out", file], f"--out {file}: is not a directory"),
+        (["synth", "--out", sub], f"--out {sub}: {file} is not a directory"),
+    ]:
+        assert _run(*argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert work == []
+    assert _listing(tmp_path) == before
+    # the spies see the work that a usable --out lets run
+    assert _run("boundaries", "--data", root, "--model", model_path,
+                "--out", tmp_path / "pseudo") == 0
+    assert _run("synth", "--out", tmp_path / "new", "--videos", 4) == 0
+    assert work == ["forward"] * 3 + ["generate_synthetic"]
 
 
 def test_eval_names_the_first_video_without_ground_truth(tmp_path, capsys, monkeypatch):

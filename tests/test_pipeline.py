@@ -87,13 +87,23 @@ def test_timestamps_mode_matches_full_on_separable_corpus():
     assert acc_ts >= acc_full - 1.0
 
 
-def test_warmup_equal_to_epochs_is_naive():
+@pytest.mark.parametrize(
+    "alias, schedule",
+    [("naive", dict(boundary_method="s2s_prob", warmup_epochs=6)),
+     ("uniform", dict(boundary_method="uniform", warmup_epochs=0))],
+    ids=["naive", "uniform"],
+)
+def test_warmup_equal_to_epochs_is_naive(alias, schedule):
+    """Each alias is its fixed schedule of timestamps mode, bit for bit; the alias
+    ignores the config's own warmup and boundary method."""
     pairs = _corpus(noise=0.2, videos=3, seed=3)
     annotations = _annotate(pairs, seed=1)
     shared = dict(epochs=6, lr=0.005, batch_size=2, weights=LossWeights(), seed=7)
-    naive_cfg = pipeline.TrainConfig(supervision="naive", warmup_epochs=0, **shared)
-    ts_cfg = pipeline.TrainConfig(supervision="timestamps", warmup_epochs=6, **shared)
-    model_a, logs_a = pipeline.train(pairs, annotations, naive_cfg, _model_config(6, 3))
+    alias_cfg = pipeline.TrainConfig(
+        supervision=alias, warmup_epochs=2, boundary_method="s2s_features", **shared
+    )
+    ts_cfg = pipeline.TrainConfig(supervision="timestamps", **schedule, **shared)
+    model_a, logs_a = pipeline.train(pairs, annotations, alias_cfg, _model_config(6, 3))
     model_b, logs_b = pipeline.train(pairs, annotations, ts_cfg, _model_config(6, 3))
     for key in model_a.params:
         np.testing.assert_array_equal(model_a.params[key], model_b.params[key])
@@ -503,8 +513,10 @@ def test_stamp_modes_read_no_labels(mode):
 
 @pytest.mark.parametrize("mode", pipeline.SUPERVISION_MODES)
 def test_pseudo_labels_called_on_each_videos_own_stamps(monkeypatch, mode):
-    """After warmup, timestamps mode calls the module's ``pseudo_labels`` by position
-    on each video's own stamp object, once per video and epoch; no other mode calls it."""
+    """After warmup, a stamp mode calls the module's ``pseudo_labels`` by position on
+    each video's own stamp object, once per video and epoch: timestamps mode with
+    its boundary method after its warmup, uniform with its rule from epoch 1, and
+    naive (all warmup) and full never."""
     pairs = _corpus(noise=0.1, videos=3, seed=12)
     annotations = _annotate(pairs)
     original = pipeline.pseudo_labels
@@ -522,13 +534,17 @@ def test_pseudo_labels_called_on_each_videos_own_stamps(monkeypatch, mode):
         pairs, annotations, config, _model_config(6, 3),
         on_epoch=lambda epoch, model, entry: counts.append(len(calls)),
     )
-    if mode != "timestamps":
+    if mode in ("full", "naive"):
         assert calls == []
         return
-    assert counts == [0, 0, 3, 6]
-    for epoch_calls in (calls[:3], calls[3:]):
+    rule, want = {
+        "timestamps": ("s2s_prob", [0, 0, 3, 6]),
+        "uniform": ("uniform", [3, 6, 9, 12]),
+    }[mode]
+    assert counts == want
+    for epoch_calls in (calls[i : i + 3] for i in range(0, len(calls), 3)):
         assert sorted(id(args[1]) for args, _ in epoch_calls) == sorted(map(id, annotations))
-    assert all(len(args) == 3 and args[2] == "s2s_prob" and not kwargs for args, kwargs in calls)
+    assert all(len(args) == 3 and args[2] == rule and not kwargs for args, kwargs in calls)
 
 
 def test_timestamps_mode_ignores_unused_label_count():

@@ -37,6 +37,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 BLAS_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+# Not change.BOUNDARY_METHODS: its "uniform" rule would train into uniform.bin, which
+# the uniform-mode run below writes, and the sixteen lines would change.
 METHODS = ("fb", "s2s_features", "s2s_prob")
 TRAIN = ["--epochs", "8", "--warmup", "3", "--stages", "2",
          "--layers", "4", "--channels", "16", "--batch", "4", "--seed", "5"]
