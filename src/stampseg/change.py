@@ -74,7 +74,10 @@ def _split_energies(feats, span_start, cand_lo, cand_hi, span_end):
     # Split a (window-relative) puts frames 0 .. a on the left and a + 1 .. num - 1
     # on the right. In a block of splits lo + k, k < hi - lo, frames before lo are
     # on the left of every split and frames from hi + 1 on the right of every
-    # split; only the frames in between need the triangular masks.
+    # split; only the frames in between need the triangular masks. A distance is
+    # (-2 x.m + |x|^2) + |m|^2 of finite values, clamped at +0.0 and square-rooted,
+    # so never -0.0 or NaN: masking it in place by x1 and x0 gives exactly
+    # np.where(mask, dist, 0.0)'s bits without that copy.
     blocks = []
     for lo in range(cand_lo - span_start, cand_hi - span_start, _BLOCK):
         hi = min(lo + _BLOCK, cand_hi - span_start)
@@ -82,12 +85,16 @@ def _split_energies(feats, span_start, cand_lo, cand_hi, span_end):
         upper = _UPPER[:size, :size]
         counts = np.arange(lo + 1, hi + 1, dtype=np.float64)[:, None]  # left cluster sizes
         dist = _cluster_distances(window[:hi], sq[:hi], prefix[lo:hi] / counts)
+        dist[lo:] *= upper
         energy = np.add.reduce(dist[:lo], axis=0)
-        energy += np.add.reduce(np.where(upper, dist[lo:], 0.0), axis=0)
+        energy += np.add.reduce(dist[lo:], axis=0)
+        del dist  # one distance block alive at a time, across blocks too
         means_r = suffix[lo + 1 : hi + 1] / (num - counts)  # right cluster sizes num - counts
         dist = _cluster_distances(window[lo + 1 :], sq[lo + 1 :], means_r)
-        right = np.add.reduce(np.where(upper.T, dist[:size], 0.0), axis=0)
+        dist[:size] *= upper.T
+        right = np.add.reduce(dist[:size], axis=0)
         right += np.add.reduce(dist[size:], axis=0)
+        del dist
         energy += right
         blocks.append(energy)
     return np.concatenate(blocks)

@@ -133,6 +133,8 @@ def cmd_train(args) -> int:
     for flag, path in (("--out", args.out), ("--log", args.log)):
         if path is None:
             continue
+        if not Path(path).exists():  # refuses a file among its ancestors by name
+            _check_out_dir(f"{flag} {path}", Path(path))
         if not Path(path).parent.is_dir():
             raise ValueError(f"{flag} {path}: directory {Path(path).parent} does not exist")
         if Path(path).is_dir():

@@ -21,7 +21,11 @@ summed in batch order, so a run is a pure function of the data, the configs,
 and the seed. Features and models are float32 wherever a caller sees them.
 Float64 lives only in the training loop's optimiser (master weights and Adam
 moments and the batch sum, into which each video's backward pass adds its
-gradients, in batch order), refreshing the float32 model after every Adam step.
+gradients, in batch order). The batch sum is allocated once per run and zeroed
+in place before each batch, and the float32 model is refreshed in place after
+every Adam step, so the loop itself allocates nothing per step.
+``on_epoch`` and the return value get a float32 model that training no longer
+writes: after the hook returns, the next epoch trains a fresh copy.
 ``train`` runs no validation itself: its one per-epoch hook, ``on_epoch``, may
 score the model and set the epoch's ``entry.report``.
 """
@@ -186,7 +190,10 @@ def train(
     ``evaluate``, whose checks then run after the first epoch (a label outside
     the model's classes counts as a wrong frame there). ``on_epoch`` and the
     return value see the float32 model that ``net.save_model`` writes bit for
-    bit; the float64 master weights and Adam moments never leave this loop.
+    bit, and training never writes it again: steps refresh one float32 model in
+    place, and the epoch after a hook starts on a fresh copy. The float64 master
+    weights, Adam moments and batch sum (allocated once per run) never leave
+    this loop.
     A refusal or a divergence names a training video as ``video 'name'``
     from the optional parallel sequence ``names``, else as ``video i``.
     """
@@ -215,13 +222,15 @@ def train(
         for i, ((feats, labels), ts) in enumerate(zip(dataset, annotations))
     ]
     adam = net.AdamState.zeros(master.params)
+    batch_grads = {k: np.zeros_like(p) for k, p in master.params.items()}
     shuffle_rng = np.random.default_rng([config.seed, 1])
     logs: list[EpochLog] = []
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(len(videos))
         epoch_losses = []
         for start in range(0, len(order), config.batch_size):
-            batch_grads = {k: np.zeros_like(p) for k, p in master.params.items()}
+            for grad in batch_grads.values():
+                grad.fill(0.0)
             for vi in order[start : start + config.batch_size]:
                 feats, ts, warm, late = videos[vi]
                 target, mask = warm if epoch <= warmup else late
@@ -235,11 +244,14 @@ def train(
                     ) from None
                 epoch_losses.append(value)
             net.adam_step(master, adam, batch_grads, config.lr)
-            model = _float32(master)
+            for key, param in master.params.items():
+                np.copyto(model.params[key], param, casting="same_kind")
         entry = EpochLog(epoch=epoch, mean_loss=float(np.mean(epoch_losses)))
         logs.append(entry)
         if on_epoch is not None:
             on_epoch(epoch, model, entry)
+            if epoch < config.epochs:  # the hook keeps a model that training no longer writes
+                model = _float32(master)
     return model, logs
 
 

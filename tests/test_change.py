@@ -211,6 +211,21 @@ def test_split_energies_bit_equal_to_triangular_masks(candidates):
         assert len(got) == count and got.tobytes() == want.tobytes(), (candidates, trial)
 
 
+@pytest.mark.parametrize("candidates", [1, 256, 600])
+def test_split_energies_of_equal_rows_bit_equal_to_triangular_masks(candidates):
+    # equal dyadic rows centre to exact zeros, so every distance is 0.0 and the
+    # masks decide each energy's sign of zero alone
+    rng = np.random.default_rng(29)
+    for trial, row in enumerate([(0.0,), (3.0, -2.5), (-0.75, 1024.0, 0.125)]):
+        before, after = (int(n) for n in rng.integers(0, 30, size=2))
+        num_frames = before + candidates + 1 + after
+        feats = np.tile(np.array(row), (num_frames, 1)).astype((np.float32, np.float64)[trial % 2])
+        args = (0, before, before + candidates, num_frames - 1)
+        got = change._split_energies(feats, *args)
+        assert got.tobytes() == _triu_split_energies(feats, *args).tobytes(), (candidates, trial)
+        assert got.tobytes() == np.zeros(candidates).tobytes()
+
+
 def test_uniform_midpoints():
     ts = _ts([2, 8], [0, 1])
     np.testing.assert_array_equal(change.uniform_boundaries(ts, 10), [5])

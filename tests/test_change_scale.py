@@ -172,3 +172,20 @@ def test_fb_long_window_memory_bounded():
     assert 1000 <= bounds[0] < 3000
     assert abs(int(bounds[0]) - 1999) <= 20
     assert peak < 64 * 2**20
+
+
+def test_split_energies_hold_one_distance_block_at_a_time():
+    # a forward-pass window of the long-video shape: 1196 frames of 64 dims,
+    # 679 candidates. The float64 window, its prefix and suffix sums take
+    # 3 L F values; one (frames x _BLOCK) distance block takes L _BLOCK more.
+    frames, dim = 1196, 64
+    feats = np.random.default_rng(131).standard_normal((frames, dim)).astype(np.float32)
+    args = (0, 516, frames - 1, frames - 1)
+    tracemalloc.start()
+    try:
+        energies = change._split_energies(feats, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(energies) == frames - 1 - 516
+    assert peak <= (3 * frames * dim + 1.25 * frames * change._BLOCK) * 8

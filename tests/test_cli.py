@@ -467,6 +467,21 @@ def test_train_refuses_output_that_is_a_directory(tmp_path, capsys, monkeypatch,
     assert not any(taken.iterdir())
 
 
+@pytest.mark.parametrize("flag", ["--out", "--log"])
+@pytest.mark.parametrize("depth", [("m.bin",), ("sub", "m.bin")], ids=["child", "grandchild"])
+def test_train_refuses_output_under_a_file(tmp_path, capsys, monkeypatch, flag, depth):
+    _no_corpus_loading(monkeypatch)
+    file = tmp_path / "f"
+    file.write_text("not a directory\n")
+    paths = {"--out": tmp_path / "model.bin", "--log": tmp_path / "train.log"}
+    under = paths[flag] = file.joinpath(*depth)
+    code = _run("train", "--data", tmp_path / "nowhere", "--out", paths["--out"],
+                "--log", paths["--log"], *TINY_NET)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {flag} {under}: {file} is not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]
+
+
 def _no_corpus_loading(monkeypatch):
     def no_loading(*args, **kwargs):
         raise AssertionError("loaded the corpus before checking the flags")

@@ -166,6 +166,76 @@ def test_train_hands_out_one_float32_model_equal_to_its_checkpoint(tmp_path):
     assert all(_dtypes(m.params) == {np.dtype(np.float32)} for m in epochs)
 
 
+def test_every_batch_sums_into_one_zeroed_gradient_dict(monkeypatch):
+    pairs = _corpus(noise=0.2, videos=3, seed=3)
+    annotations = _annotate(pairs, seed=1)
+    calls, steps = [], []
+    real, real_step = net.loss_and_grad, net.adam_step
+
+    def spy(model, features, target, mask, ts, weights, grads):
+        zeros = all(not g.any() for g in grads.values())
+        calls.append((len(steps), grads, dict(grads), zeros))
+        return real(model, features, target, mask, ts, weights, grads)
+
+    def step_spy(model, adam, grads, lr):
+        steps.append(grads)
+        return real_step(model, adam, grads, lr)
+
+    monkeypatch.setattr(net, "loss_and_grad", spy)
+    monkeypatch.setattr(net, "adam_step", step_spy)
+    config = pipeline.TrainConfig(
+        epochs=3, warmup_epochs=1, batch_size=2, supervision="timestamps", seed=2
+    )
+    pipeline.train(pairs, annotations, config, _model_config(6, 3))
+    # 3 videos in batches of 2: calls [2, 1] per epoch, one step after each batch
+    assert [step for step, *_ in calls] == [0, 0, 1, 2, 2, 3, 4, 4, 5]
+    grads, arrays = calls[0][1], calls[0][2]
+    assert all(g is grads for _, g, _, _ in calls) and all(s is grads for s in steps)
+    for _, _, seen, _ in calls:
+        assert seen.keys() == arrays.keys()
+        assert all(seen[key] is arrays[key] for key in arrays)
+    # the first call of each batch finds the sum zeroed in place
+    assert [zeros for *_, zeros in calls] == [True, False, True] * 3
+
+
+def test_on_epoch_models_are_never_written_again():
+    pairs = _corpus(noise=0.2, videos=3, seed=4)
+    annotations = _annotate(pairs, seed=2)
+    received = []
+
+    def on_epoch(epoch, model, entry):
+        received.append((model, {k: p.copy() for k, p in model.params.items()}))
+
+    config = pipeline.TrainConfig(
+        epochs=4, warmup_epochs=2, batch_size=2, supervision="timestamps", seed=5
+    )
+    model, _ = pipeline.train(pairs, annotations, config, _model_config(6, 3), on_epoch=on_epoch)
+    assert len(received) == 4 and received[-1][0] is model
+    for seen, copy in received:
+        for key, value in copy.items():
+            np.testing.assert_array_equal(seen.params[key], value, strict=True)
+    # and each epoch's model differs from the next one's
+    assert not np.array_equal(received[0][1]["s0.cls.w"], received[1][1]["s0.cls.w"])
+
+
+def test_a_run_without_on_epoch_trains_the_same_model():
+    pairs = _corpus(noise=0.2, videos=3, seed=4)
+    annotations = _annotate(pairs, seed=2)
+    config = pipeline.TrainConfig(
+        epochs=4, warmup_epochs=2, batch_size=2, supervision="timestamps", seed=5
+    )
+    hooked = []
+    model_a, logs_a = pipeline.train(pairs, annotations, config, _model_config(6, 3))
+    model_b, logs_b = pipeline.train(
+        pairs, annotations, config, _model_config(6, 3),
+        on_epoch=lambda epoch, model, entry: hooked.append(epoch),
+    )
+    assert hooked == [1, 2, 3, 4]
+    for key, value in model_a.params.items():
+        np.testing.assert_array_equal(model_b.params[key], value, strict=True)
+    assert pipeline.format_log(logs_a) == pipeline.format_log(logs_b)
+
+
 def test_train_takes_float32_features_without_a_copy(monkeypatch):
     pairs = [(f.astype(np.float32), lab) for f, lab in _corpus(noise=0.2, videos=3, seed=5)]
     seen = []
