@@ -75,10 +75,10 @@ def cmd_synth(args) -> int:
             f"--test-frac {frac} must lie in (0, 1) and leave no empty split for {count} videos"
         )
     test_count = round(frac * count)
-    pairs = data.generate_synthetic(spec, seed=args.seed)
     vocab = data.ActionVocab(tuple(f"action_{c}" for c in range(args.classes)))
     names = [f"video_{i:04d}" for i in range(count)]
-    videos = [(n, f, l) for n, (f, l) in zip(names, pairs)]
+    # a generator: each video is written before the next is drawn
+    videos = ((n, f, l) for n, (f, l) in zip(names, data.iter_synthetic(spec, seed=args.seed)))
     train_names = names[: count - test_count]
     test_names = names[count - test_count :]
     data.write_corpus(args.out, vocab, videos, train_names, test_names)
@@ -139,6 +139,8 @@ def cmd_train(args) -> int:
             raise ValueError(f"{flag} {path}: directory {Path(path).parent} does not exist")
         if Path(path).is_dir():
             raise ValueError(f"{flag} {path}: is a directory")
+    if args.log is not None and Path(args.log).resolve() == Path(args.out).resolve():
+        raise ValueError(f"--log {args.log}: same file as --out {args.out}")
     config = _train_config(args)
     # the model flags are checked now; the corpus fills in its two dimensions below
     model_config = _model_config(args, input_dim=1, num_classes=1)

@@ -13,10 +13,15 @@ timestamps  text, lines ``<frame> <name>`` with strictly ascending frame indices
 All text files are UTF-8 with LF line endings; a reader refuses one that is
 not UTF-8, naming it. Frame indices are 0-based everywhere, in memory and on
 disk.
+
+Synthetic corpora come one video at a time from ``iter_synthetic``, so a
+writer that takes each video before the next (``write_corpus``) holds one
+video in memory; ``generate_synthetic`` is the same stream as a list.
 """
 
 import math
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -384,13 +389,24 @@ class SyntheticSpec:
 NOISE_RHO = 0.9
 
 
-def generate_synthetic(spec: SyntheticSpec, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Generate ``spec.videos`` pairs of (features, labels), deterministic in seed.
+def iter_synthetic(spec: SyntheticSpec, seed: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield ``spec.videos`` pairs of (features, labels) one at a time, deterministic in seed.
 
     Each frame is its class mean plus Gaussian noise of scale ``spec.noise``.
     The noise is temporally correlated (stationary AR(1), so the per-frame
     marginal stays N(0, noise^2)): consecutive video frames share most of
     their appearance, which is what makes dense supervision informative.
+
+    A video is drawn only when the caller asks for it, so a caller that
+    consumes each video before the next holds one video at a time: ``stampseg
+    synth`` peaks at about one video's float64 frames plus the float32 copy
+    ``write_features`` makes of them.
+
+    Each video is built inside the array its normal draws land in: row t
+    becomes ``NOISE_RHO * row[t-1] + scale * white[t]`` in place, then the
+    whole array is scaled by ``noise`` and each segment's mean added. The
+    operands and operations are those of ``means[labels] + noise * drift``,
+    in an order that only commutes them, so the bits are the same.
     """
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((spec.num_classes, spec.dim))
@@ -399,7 +415,8 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0) -> list[tuple[np.ndar
     # mean_frames >= 2 * segment_range[1] keeps every count <= lo_t <= num_frames
     lo_t = int(round(0.85 * spec.mean_frames))
     hi_t = int(round(1.15 * spec.mean_frames))
-    out = []
+    scale = math.sqrt(1.0 - NOISE_RHO**2)
+    step = np.empty(spec.dim)
     for _ in range(spec.videos):
         num_frames = int(rng.integers(lo_t, hi_t + 1))
         count = int(rng.integers(spec.segment_range[0], spec.segment_range[1] + 1))
@@ -407,24 +424,33 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0) -> list[tuple[np.ndar
         classes = np.empty(count, dtype=np.int64)
         classes[0] = rng.integers(spec.num_classes)
         for j in range(1, count):
-            step = int(rng.integers(spec.num_classes - 1))
-            classes[j] = step if step < classes[j - 1] else step + 1
+            draw = int(rng.integers(spec.num_classes - 1))
+            classes[j] = draw if draw < classes[j - 1] else draw + 1
 
         min_len = max(1, num_frames // (4 * count))
         extra = num_frames - count * min_len
         shares = rng.dirichlet(np.ones(count))
         lengths = min_len + rng.multinomial(extra, shares)
 
-        labels = np.repeat(classes, lengths)
-        white = rng.standard_normal((num_frames, spec.dim))
-        drift = np.empty_like(white)
-        drift[0] = white[0]
-        scale = math.sqrt(1.0 - NOISE_RHO**2)
-        for t in range(1, num_frames):
-            drift[t] = NOISE_RHO * drift[t - 1] + scale * white[t]
-        feats = means[labels] + spec.noise * drift
-        out.append((feats, labels))
-    return out
+        feats = rng.standard_normal((num_frames, spec.dim))
+        feats[1:] *= scale
+        rows = list(feats)
+        for prev, row in zip(rows, rows[1:]):
+            np.multiply(prev, NOISE_RHO, out=step)
+            row += step
+        feats *= spec.noise
+        for cls, end, length in zip(classes, np.cumsum(lengths), lengths):
+            feats[end - length : end] += means[cls]
+        yield feats, np.repeat(classes, lengths)
+
+
+def generate_synthetic(spec: SyntheticSpec, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every video of ``iter_synthetic(spec, seed)`` at once, in order.
+
+    The list holds the whole corpus in float64 (about 9.4 GB for a
+    50Salads-shaped one); a corpus that large needs ``iter_synthetic``.
+    """
+    return list(iter_synthetic(spec, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +476,18 @@ def _video_names(bundle_path) -> list[str]:
 def write_corpus(
     out_dir,
     vocab: ActionVocab,
-    videos: list[tuple[str, np.ndarray, np.ndarray]],
+    videos: Iterable[tuple[str, np.ndarray, np.ndarray]],
     train_names: list[str],
     test_names: list[str],
 ) -> None:
-    """Lay out a corpus directory: features/, groundTruth/, mapping.txt, splits/."""
+    """Lay out a corpus directory: features/, groundTruth/, mapping.txt, splits/.
+
+    ``videos`` of (name, features, labels) is iterated once, each video
+    written before the next is taken, so a generator such as
+    ``iter_synthetic``'s keeps one video in memory. The directories and
+    mapping.txt come first and the split bundles last, so a run that fails
+    partway leaves a partial corpus without bundles.
+    """
     root = Path(out_dir)
     (root / "features").mkdir(parents=True, exist_ok=True)
     (root / "groundTruth").mkdir(exist_ok=True)

@@ -312,7 +312,17 @@ def forward(model: ModelState, features) -> StageOutputs:
 
 
 def _summed_loss(outputs: StageOutputs, target, mask, timestamps, weights):
-    """The loss of one pass summed over its stages, and each stage's dprobs."""
+    """The loss of one pass summed over its stages, and each stage's dprobs.
+
+    A stage's non-finite probabilities (a diverged model) are refused as a
+    FloatingPointError before ``target`` sees the pass, so a label rule never
+    reads diverged activations. A stage's loss can still overflow from finite
+    probabilities when a loss weight is near the float64 maximum, so each
+    stage's value is checked too.
+    """
+    for stage, probs in enumerate(outputs.probs):
+        if not np.isfinite(probs).all():
+            raise FloatingPointError(f"non-finite probabilities at stage {stage}")
     if callable(target):
         target = target(outputs)
     total = 0.0

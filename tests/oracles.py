@@ -197,6 +197,43 @@ def accuracy(pred, gt):
 
 
 # ---------------------------------------------------------------------------
+# synthetic corpora
+
+def synthetic(spec, seed, rho=0.9):
+    """Every (features, labels) pair of a synthetic corpus, by the first formula.
+
+    The noise is a separate AR(1) ``drift`` array, one new row per frame, and
+    the features are ``means[labels] + noise * drift``; the draws come from
+    one Generator in the package's order.
+    """
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((spec.num_classes, spec.dim))
+    means = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    lo_t = int(round(0.85 * spec.mean_frames))
+    hi_t = int(round(1.15 * spec.mean_frames))
+    out = []
+    for _ in range(spec.videos):
+        num_frames = int(rng.integers(lo_t, hi_t + 1))
+        count = int(rng.integers(spec.segment_range[0], spec.segment_range[1] + 1))
+        classes = [int(rng.integers(spec.num_classes))]
+        for _ in range(1, count):
+            step = int(rng.integers(spec.num_classes - 1))
+            classes.append(step if step < classes[-1] else step + 1)
+        min_len = max(1, num_frames // (4 * count))
+        shares = rng.dirichlet(np.ones(count))
+        lengths = min_len + rng.multinomial(num_frames - count * min_len, shares)
+        labels = np.repeat(np.array(classes, dtype=np.int64), lengths)
+        white = rng.standard_normal((num_frames, spec.dim))
+        drift = np.empty_like(white)
+        drift[0] = white[0]
+        scale = math.sqrt(1.0 - rho**2)
+        for t in range(1, num_frames):
+            drift[t] = rho * drift[t - 1] + scale * white[t]
+        out.append((means[labels] + spec.noise * drift, labels))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # misc
 
 def expand_segments(segments):

@@ -109,10 +109,40 @@ def test_synth_refuses_a_negative_seed_before_generating(tmp_path, capsys, monke
     def no_generating(*args, **kwargs):
         raise AssertionError("generated the corpus before checking --seed")
 
-    monkeypatch.setattr(data, "generate_synthetic", no_generating)
+    monkeypatch.setattr(data, "iter_synthetic", no_generating)
     assert _run("synth", "--out", tmp_path / "corpus", "--seed", -1) == 1
     assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
     assert not any(tmp_path.iterdir())
+
+
+def test_synth_writes_each_video_before_drawing_the_next(tmp_path, monkeypatch):
+    events = []
+    real_iter, real_write = data.iter_synthetic, data.write_features
+
+    def drawing(*args, **kwargs):
+        for i, pair in enumerate(real_iter(*args, **kwargs)):
+            events.append(("draw", i))
+            yield pair
+
+    def writing(frames, path):
+        events.append(("write", Path(path).stem))
+        real_write(frames, path)
+
+    monkeypatch.setattr(data, "iter_synthetic", drawing)
+    monkeypatch.setattr(data, "write_features", writing)
+    root = _synth(tmp_path / "streamed", **{"--noise": 0.3})
+    monkeypatch.undo()
+    assert events == [
+        event for i in range(4) for event in (("draw", i), ("write", f"video_{i:04d}"))
+    ]
+    # the same bytes as writing the whole list at once
+    spec = data.SyntheticSpec(videos=4, num_classes=3, mean_frames=50, dim=6, noise=0.3,
+                              segment_range=(3, 5))
+    names = [f"video_{i:04d}" for i in range(4)]
+    videos = [(n, f, l) for n, (f, l) in zip(names, data.generate_synthetic(spec, seed=0))]
+    vocab = data.ActionVocab(("action_0", "action_1", "action_2"))
+    data.write_corpus(tmp_path / "listed", vocab, videos, names[:3], names[3:])
+    assert _tree_digest(root) == _tree_digest(tmp_path / "listed")
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +512,18 @@ def test_train_refuses_output_under_a_file(tmp_path, capsys, monkeypatch, flag, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]
 
 
+@pytest.mark.parametrize("log", ["m.bin", "./m.bin", "sub/../m.bin"])
+def test_train_refuses_log_at_the_checkpoint_path(tmp_path, capsys, monkeypatch, log):
+    # the log would be written over the checkpoint that was just saved
+    _no_corpus_loading(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    code = _run("train", "--data", "nowhere", "--out", "m.bin", "--log", log, *TINY_NET)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: --log {log}: same file as --out m.bin\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
+
 def _no_corpus_loading(monkeypatch):
     def no_loading(*args, **kwargs):
         raise AssertionError("loaded the corpus before checking the flags")
@@ -681,7 +723,7 @@ def test_out_at_or_under_a_file_refused_before_any_work(tmp_path, capsys, monkey
 
         monkeypatch.setattr(module, name, wrapper)
 
-    spy(data, "generate_synthetic")
+    spy(data, "iter_synthetic")
     spy(net, "forward")
     before = _listing(tmp_path)
     capsys.readouterr()
@@ -700,7 +742,7 @@ def test_out_at_or_under_a_file_refused_before_any_work(tmp_path, capsys, monkey
     assert _run("boundaries", "--data", root, "--model", model_path,
                 "--out", tmp_path / "pseudo") == 0
     assert _run("synth", "--out", tmp_path / "new", "--videos", 4) == 0
-    assert work == ["forward"] * 3 + ["generate_synthetic"]
+    assert work == ["forward"] * 3 + ["iter_synthetic"]
 
 
 def test_eval_names_the_first_video_without_ground_truth(tmp_path, capsys, monkeypatch):

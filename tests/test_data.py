@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import math
@@ -546,6 +547,56 @@ def test_study_corpus_stream_unchanged():
         digest.update(feats.tobytes())
         digest.update(labels.tobytes())
     assert digest.hexdigest()[:16] == "7627b2298e2da94a"
+
+
+def test_iter_synthetic_is_lazy(monkeypatch):
+    real_rng = np.random.default_rng
+    draws = []
+
+    class Counting:
+        """A Generator that refuses a third normal draw: the means, then one video."""
+
+        def __init__(self, seed):
+            self.rng = real_rng(seed)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def standard_normal(self, shape):
+            draws.append(shape)
+            assert len(draws) <= 2, "drew a second video before the first was taken"
+            return self.rng.standard_normal(shape)
+
+    spec = data.SyntheticSpec(videos=10**9, num_classes=3, mean_frames=40, dim=4, noise=0.3)
+    monkeypatch.setattr(np.random, "default_rng", Counting)
+    feats, labels = next(data.iter_synthetic(spec, seed=1))
+    monkeypatch.undo()
+    assert len(draws) == 2
+    want_feats, want_labels = data.generate_synthetic(dataclasses.replace(spec, videos=1), 1)[0]
+    assert feats.tobytes() == want_feats.tobytes()
+    assert labels.tobytes() == want_labels.tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        dict(videos=6, num_classes=4, mean_frames=60, dim=5, noise=0.0, segment_range=(2, 9)),
+        dict(videos=6, num_classes=3, mean_frames=40, dim=1, noise=0.7),
+        dict(videos=6, num_classes=2, mean_frames=30, dim=3, noise=2.5, segment_range=(1, 1)),
+        dict(videos=3, num_classes=10, mean_frames=300, dim=2048, noise=1.0, segment_range=(3, 3)),
+    ],
+    ids=["noise0", "dim1", "one-segment", "dim2048"],
+)
+def test_synthetic_bytes_equal_the_drift_formula(spec):
+    spec = data.SyntheticSpec(**spec)
+    got = list(data.iter_synthetic(spec, seed=4))
+    want = oracles.synthetic(spec, seed=4, rho=data.NOISE_RHO)
+    assert len(got) == len(want) == spec.videos
+    for (feats, labels), (want_feats, want_labels) in zip(got, want):
+        assert feats.dtype == want_feats.dtype == np.float64
+        assert feats.shape == want_feats.shape
+        assert feats.tobytes() == want_feats.tobytes()
+        assert labels.dtype == np.int64 and labels.tobytes() == want_labels.tobytes()
 
 
 def test_synthetic_deterministic():

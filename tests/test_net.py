@@ -711,6 +711,19 @@ def test_nonfinite_loss_reports_stage():
         net.loss_and_grad(model, feats, np.zeros(6, dtype=int))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_loss_overflow_from_finite_probabilities_reports_stage():
+    # a finite alpha near the float64 maximum overflows the T-MSE term, which
+    # a saturated classifier makes large
+    model = net.init_model(_tiny_config(), seed=3)
+    model.params["s0.cls.w"] *= 1e3
+    feats = np.random.default_rng(1).standard_normal((6, 5))
+    probs = net.forward(model, feats).probs
+    assert all(np.isfinite(p).all() for p in probs)
+    with pytest.raises(FloatingPointError, match="^non-finite loss at stage 0$"):
+        net.loss_and_grad(model, feats, np.zeros(6, dtype=int), weights=LossWeights(alpha=1e308))
+
+
 # ---------------------------------------------------------------------------
 # compute dtype
 

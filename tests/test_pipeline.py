@@ -639,3 +639,19 @@ def test_divergence_reports_context(monkeypatch):
         pipeline.train(pairs, annotations, config, _model_config(6, 3))
     with pytest.raises(FloatingPointError, match="^training diverged at epoch 1, video '[ab]': "):
         pipeline.train(pairs, annotations, config, _model_config(6, 3), names=["a", "b"])
+
+
+@pytest.mark.parametrize("method", change.BOUNDARY_METHODS)
+def test_diverged_step_refused_before_its_label_rule(method):
+    # lr 1e30 overflows the model after one step; the second step's forward pass
+    # is non-finite, and every label rule would otherwise read it first
+    pairs = _corpus(noise=0.1, videos=2, seed=13)
+    annotations = _annotate(pairs)
+    config = pipeline.TrainConfig(
+        epochs=2, warmup_epochs=0, lr=1e30, batch_size=1, boundary_method=method
+    )
+    with np.errstate(all="ignore"), pytest.raises(
+        FloatingPointError,
+        match="^training diverged at epoch 1, video '[ab]': non-finite probabilities at stage 0$",
+    ):
+        pipeline.train(pairs, annotations, config, _model_config(6, 3), names=["a", "b"])
