@@ -38,14 +38,19 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"--seed must be >= 0, got {seed}")
 
 
-def _check_out_dir(name: str, path: Path, empty: bool = False) -> None:
-    """Refuse an output directory before any work, under ``name``.
+def _check_out_path(name: str, path: Path, file: bool = False, empty: bool = False) -> None:
+    """Refuse an output directory (or, with ``file``, file) before any work, under ``name``.
 
-    Refused: a ``path`` that exists and is not a directory, one whose nearest
-    existing ancestor is not a directory, and, with ``empty``, a directory
-    that holds anything.
+    Refused: a ``path`` whose nearest existing ancestor is not a directory;
+    a directory ``path`` that exists and is not a directory, and, with
+    ``empty``, one that holds anything; a ``file`` path that is a directory,
+    or whose parent does not exist.
     """
     if path.exists():
+        if file:
+            if path.is_dir():
+                raise ValueError(f"{name}: is a directory")
+            return
         if not path.is_dir():
             raise ValueError(f"{name}: is not a directory")
         if empty and any(path.iterdir()):
@@ -54,13 +59,15 @@ def _check_out_dir(name: str, path: Path, empty: bool = False) -> None:
     ancestor = next(p for p in path.parents if p.exists())
     if not ancestor.is_dir():
         raise ValueError(f"{name}: {ancestor} is not a directory")
+    if file and ancestor != path.parent:
+        raise ValueError(f"{name}: directory {path.parent} does not exist")
 
 
 def cmd_synth(args) -> int:
     _check_seed(args.seed)
     # stale files, timestamps/ among them, would be read with the new corpus
     out = Path(args.out)
-    _check_out_dir(f"--out {out}", out, empty=True)
+    _check_out_path(f"--out {out}", out, empty=True)
     spec = data.SyntheticSpec(
         videos=args.videos,
         num_classes=args.classes,
@@ -90,7 +97,7 @@ def cmd_annotate(args) -> int:
     _check_seed(args.seed)
     data.parse_strategy(args.strategy)  # refused before the corpus is read
     out_dir = Path(args.data) / "timestamps"
-    _check_out_dir(str(out_dir), out_dir)
+    _check_out_path(str(out_dir), out_dir)
     vocab, records = data.load_corpus(args.data, split=args.split)
     # sample every video before the first write, so a refused run leaves nothing behind
     _require(records, "labels", "ground-truth labels to sample from")
@@ -130,17 +137,11 @@ def _train_config(args) -> pipeline.TrainConfig:
 def cmd_train(args) -> int:
     if args.save_every < 0:
         raise ValueError(f"--save-every must be >= 0, got {args.save_every}")
-    for flag, path in (("--out", args.out), ("--log", args.log)):
-        if path is None:
-            continue
-        if not Path(path).exists():  # refuses a file among its ancestors by name
-            _check_out_dir(f"{flag} {path}", Path(path))
-        if not Path(path).parent.is_dir():
-            raise ValueError(f"{flag} {path}: directory {Path(path).parent} does not exist")
-        if Path(path).is_dir():
-            raise ValueError(f"{flag} {path}: is a directory")
-    if args.log is not None and Path(args.log).resolve() == Path(args.out).resolve():
-        raise ValueError(f"--log {args.log}: same file as --out {args.out}")
+    _check_out_path(f"--out {args.out}", Path(args.out), file=True)
+    if args.log is not None:
+        _check_out_path(f"--log {args.log}", Path(args.log), file=True)
+        if Path(args.log).resolve() == Path(args.out).resolve():
+            raise ValueError(f"--log {args.log}: same file as --out {args.out}")
     config = _train_config(args)
     # the model flags are checked now; the corpus fills in its two dimensions below
     model_config = _model_config(args, input_dim=1, num_classes=1)
@@ -220,7 +221,7 @@ def cmd_eval(args) -> int:
 
 def cmd_boundaries(args) -> int:
     out_dir = Path(args.out)
-    _check_out_dir(f"--out {out_dir}", out_dir)
+    _check_out_path(f"--out {out_dir}", out_dir)
     vocab, records = data.load_corpus(args.data, split=args.split)
     _require(records, "timestamps", "timestamps")
     model = _load_model_for(args.model, vocab, records)
@@ -281,12 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default=train_cfg.supervision, choices=pipeline.SUPERVISION_MODES,
                    help="full trains on the labels, the others on the stamps; naive (all "
                         "warmup) and uniform (the uniform rule, no warmup) are fixed "
-                        "schedules and, like full, ignore --warmup and --boundary")
+                        "schedules that, like full's, the config sets when it is made, so "
+                        "none of the three reads --warmup or --boundary")
     p.add_argument("--boundary", default=train_cfg.boundary_method, choices=change.BOUNDARY_METHODS,
-                   help="label rule of --mode timestamps")
+                   help="label rule of --mode timestamps; no other mode reads it")
     p.add_argument("--epochs", type=int, default=train_cfg.epochs)
     p.add_argument("--warmup", type=int, default=train_cfg.warmup_epochs,
-                   help="epochs on the stamp frames alone in --mode timestamps")
+                   help="epochs on the stamp frames alone in --mode timestamps, the one mode "
+                        "that reads it and checks it against --epochs")
     p.add_argument("--lr", type=float, default=train_cfg.lr)
     p.add_argument("--batch", type=int, default=train_cfg.batch_size)
     p.add_argument("--alpha", type=float, default=LossWeights.alpha)

@@ -125,6 +125,10 @@ def conf_loss_grad(probs, timestamps: TimestampSet) -> tuple[float, np.ndarray]:
     positive step log p_t - log p_{t-1} is penalized; at and left of t_i the
     reverse step is. Windows of adjacent annotations overlap and both count.
     The total is divided by max(1, 2 * (t_N - t_1)).
+    The steps end at t = max(t_{i-1}, 1) .. t_{i+1}, so a window's first step
+    starts one frame before its lower stamp, and the step into t_i counts on the
+    left (README, "The confidence term, as implemented", where the paper's
+    formula is recalled, not read).
     """
     probs = _check_probs(probs)
     num_frames, num_classes = probs.shape

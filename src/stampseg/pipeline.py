@@ -6,13 +6,14 @@ Supervision modes
 from one of two inputs. ``full`` trains on the frame labels for the whole run.
 Every other mode reads the stamps: the annotated frames only in warmup, then
 dense labels that a label rule (a row of ``pseudo_boundaries``) makes at every
-step from the forward pass that the step trains on. ``train`` gives each stamp
-mode its (rule, warmup epochs):
-timestamps  (``boundary_method``, ``warmup_epochs``).
+step from the forward pass that the step trains on. Each stamp mode is a
+(``boundary_method``, ``warmup_epochs``) schedule, which ``TrainConfig`` sets
+when the config is made, and ``train`` reads the two fields as they are:
+timestamps  (``boundary_method``, ``warmup_epochs``) as given.
 naive       (``boundary_method``, ``epochs``): the annotated frames only.
 uniform     (``"uniform"``, 0): midpoint labels for the whole run.
+``full`` gets ``warmup_epochs`` 0, since its one target never changes.
 
-So ``warmup_epochs`` and ``boundary_method`` act in ``timestamps`` mode alone.
 A mode reads its one input, whatever else a video holds. The smoothing term
 always applies; the confidence term applies in every mode but ``full``, whose
 loss is MS-TCN's.
@@ -45,6 +46,18 @@ SUPERVISION_MODES = ("timestamps", "full", "naive", "uniform")
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One training run's settings, with each mode's schedule resolved.
+
+    ``warmup_epochs`` and ``boundary_method`` hold what the run does. Only
+    ``timestamps`` keeps both as given; the other modes set them when the
+    config is made, whatever was passed:
+    ``naive`` sets ``warmup_epochs = epochs`` (its rule is never applied);
+    ``uniform`` sets ``boundary_method = "uniform"`` and ``warmup_epochs = 0``;
+    ``full`` sets ``warmup_epochs = 0``, since its one target never changes.
+    So ``warmup_epochs`` is refused outside [0, epochs] in ``timestamps`` mode
+    alone.
+    """
+
     epochs: int = 50
     warmup_epochs: int = 30
     lr: float = 0.0005
@@ -57,6 +70,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.supervision == "naive":
+            object.__setattr__(self, "warmup_epochs", self.epochs)
+        elif self.supervision == "uniform":
+            object.__setattr__(self, "boundary_method", "uniform")
+            object.__setattr__(self, "warmup_epochs", 0)
+        elif self.supervision == "full":
+            object.__setattr__(self, "warmup_epochs", 0)
         if not 0 <= self.warmup_epochs <= self.epochs:
             raise ValueError("warmup_epochs must lie in [0, epochs]")
         if self.batch_size < 1:
@@ -151,8 +171,9 @@ def _check_video(where: str, model: net.ModelState, feats, labels=None, stamps=N
     return feats
 
 
-def _recipe(mode: str, rule: str, where: str, model: net.ModelState, feats, labels, ts):
+def _recipe(config: TrainConfig, where: str, model: net.ModelState, feats, labels, ts):
     """One video's features, stamps, and warmup and later (target, mask) (module docstring)."""
+    mode, rule = config.supervision, config.boundary_method
     labels, ts = (labels, None) if mode == "full" else (None, ts)
     if labels is None and ts is None:
         read = "labels" if mode == "full" else "timestamps"
@@ -210,15 +231,10 @@ def train(
         where = [f"video {name!r}" for name in names]
     else:
         raise ValueError("names and dataset differ in length")
-    # naive and uniform are fixed schedules of the stamp recipe (module docstring)
-    rule, warmup = {
-        "naive": (config.boundary_method, config.epochs),
-        "uniform": ("uniform", 0),
-    }.get(config.supervision, (config.boundary_method, config.warmup_epochs))
     master = net.init_model(model_config, config.seed)
     model = _float32(master)
     videos = [
-        _recipe(config.supervision, rule, where[i], model, feats, labels, ts)
+        _recipe(config, where[i], model, feats, labels, ts)
         for i, ((feats, labels), ts) in enumerate(zip(dataset, annotations))
     ]
     adam = net.AdamState.zeros(master.params)
@@ -233,7 +249,7 @@ def train(
                 grad.fill(0.0)
             for vi in order[start : start + config.batch_size]:
                 feats, ts, warm, late = videos[vi]
-                target, mask = warm if epoch <= warmup else late
+                target, mask = warm if epoch <= config.warmup_epochs else late
                 try:  # the backward pass adds this video's gradients into the batch sum
                     value, _ = net.loss_and_grad(
                         model, feats, target, mask, ts, config.weights, batch_grads

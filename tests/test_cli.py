@@ -552,6 +552,30 @@ def test_train_refuses_bad_flags_before_loading_the_corpus(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("mode", ["full", "naive", "uniform"])
+def test_fixed_schedule_modes_read_neither_warmup_nor_boundary(tmp_path, capsys, mode):
+    # the default --warmup 30 exceeds --epochs 2, and --warmup 7 does too
+    root = _synth(tmp_path / "corpus")
+    assert _run("annotate", "--data", root) == 0
+    argv = ["--mode", mode, "--epochs", 2, "--batch", 2, *TINY_NET]
+    defaults, flagged = tmp_path / "defaults.bin", tmp_path / "flagged.bin"
+    assert _run("train", "--data", root, "--out", defaults, *argv) == 0
+    _assert_trained_in_process(defaults, root, epochs=2, batch_size=2, supervision=mode)
+    assert _run("train", "--data", root, "--out", flagged, *argv,
+                "--warmup", 7, "--boundary", "s2s_prob") == 0
+    assert flagged.read_bytes() == defaults.read_bytes()
+
+
+def test_timestamps_mode_checks_the_default_warmup_before_loading_the_corpus(
+    tmp_path, capsys, monkeypatch
+):
+    _no_corpus_loading(monkeypatch)
+    code = _run("train", "--data", tmp_path, "--out", tmp_path / "model.bin",
+                "--mode", "timestamps", "--epochs", 2)
+    assert code == 1
+    assert capsys.readouterr().err == "error: warmup_epochs must lie in [0, epochs]\n"
+
+
 def test_eval_pred_directory(tmp_path, capsys):
     root = _synth(tmp_path / "corpus")
     pred_dir = tmp_path / "preds"

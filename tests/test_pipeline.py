@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,24 @@ def test_warmup_equal_to_epochs_is_naive(alias, schedule):
     for key in model_a.params:
         np.testing.assert_array_equal(model_a.params[key], model_b.params[key])
     assert [e.mean_loss for e in logs_a] == [e.mean_loss for e in logs_b]
+
+
+def test_train_config_sets_each_fixed_schedule():
+    """Every mode but timestamps sets its schedule when the config is made, so a
+    config's fields are what its run does, and only timestamps checks the warmup."""
+    given = dict(epochs=5, warmup_epochs=3, boundary_method="s2s_prob")
+    resolved = {
+        "timestamps": ("s2s_prob", 3),
+        "naive": ("s2s_prob", 5),
+        "uniform": ("uniform", 0),
+        "full": ("s2s_prob", 0),
+    }
+    for mode, schedule in resolved.items():
+        config = pipeline.TrainConfig(supervision=mode, **given)
+        assert (config.boundary_method, config.warmup_epochs) == schedule
+    naive = pipeline.TrainConfig(supervision="naive", epochs=2)  # the default warmup is 30
+    assert naive.warmup_epochs == 2
+    assert dataclasses.replace(naive, epochs=9).warmup_epochs == 9
 
 
 def _dtypes(arrays):
